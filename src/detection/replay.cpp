@@ -1,7 +1,6 @@
 #include "detection/replay.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "common/check.hpp"
@@ -15,27 +14,19 @@ using scenario::CampaignTrace;
 using scenario::TraceEventKind;
 using scenario::TraceSource;
 
-/// One mapped campaign bot: its monitored-host identity, sticky guard
-/// set, and observation-clamped lifetime.
-struct BotState {
-  HostId host = 0;
-  std::array<HostId, 3> guards{};
-  SimTime birth = 0;
-  SimTime death = 0;
-};
-
 }  // namespace
 
-ReplayResult replay_trace(const TraceSource& campaign,
-                          const ReplayConfig& config) {
+ReplayComposition compose_replay(const TraceSource& campaign,
+                                 const ReplayConfig& config) {
   ONION_EXPECTS(campaign.began());
   const SimDuration window =
       config.window > 0 ? config.window : campaign.horizon();
   ONION_EXPECTS(window > 0);
 
-  Rng rng(config.seed);
-  ReplayResult out;
+  ReplayComposition c{{}, {}, {}, Rng(config.seed)};
+  ReplayResult& out = c.result;
   TrafficTrace& trace = out.trace;
+  Rng& rng = c.rng;
   HostId next = config.first_host;
 
   // Benign background first (and its Tor relay registry, shared by every
@@ -46,9 +37,10 @@ ReplayResult replay_trace(const TraceSource& campaign,
   bg.benign_tor = config.benign_tor;
   bg.tor_relays = config.tor_relays;
   bg.tor_mean_gap = config.benign_tor_mean_gap;
-  const BenignPopulation benign = emit_benign(trace, bg, next, rng);
-  out.benign_web_hosts = benign.web_hosts;
-  out.benign_tor_users = benign.tor_users;
+  BenignPopulation benign = emit_benign(trace, bg, next, rng);
+  out.benign_web_hosts = std::move(benign.web_hosts);
+  out.benign_tor_users = std::move(benign.tor_users);
+  c.relays = std::move(benign.relays);
 
   // Co-resident legacy families: present for the whole window, exactly
   // the populations the paper's evolution story leaves behind.
@@ -63,86 +55,96 @@ ReplayResult replay_trace(const TraceSource& campaign,
   if (config.p2p_bots > 0)
     out.p2p_bots = emit_p2p_bots(trace, config.p2p_bots, window, next, rng);
 
-  if (config.max_onion_bots == 0) return out;  // legacy/benign-only rows
+  if (config.max_onion_bots == 0) return c;  // legacy/benign-only rows
 
   std::vector<scenario::BotLifetime> lifetimes = campaign.lifetimes();
   if (lifetimes.size() > config.max_onion_bots)
     lifetimes.resize(config.max_onion_bots);  // oldest bots first
-  if (lifetimes.empty()) return out;
-
-  std::vector<HostId> relays = benign.relays;
-  if (relays.empty()) {
-    ONION_EXPECTS(config.tor_relays > 0);
-    relays = register_tor_relays(trace, config.tor_relays, next);
-  }
-
-  // Steady-state emission: each bot browses (its human owner is still at
-  // the keyboard) and heartbeats into its guards while alive. The clamp
-  // to the observation window also drops bots born past its end.
-  std::unordered_map<graph::NodeId, std::size_t> bot_index;
-  std::vector<BotState> bots;
-  bots.reserve(lifetimes.size());
-  out.onion_bots.reserve(lifetimes.size());
   for (const scenario::BotLifetime& life : lifetimes) {
     if (life.birth >= window) continue;  // never observable: no host
-    BotState b;
-    b.host = next++;
-    trace.hosts.push_back(b.host);
-    trace.infected.push_back(b.host);
-    out.onion_bots.push_back(b.host);
-    b.guards = pick_guards(relays, rng);
-    b.birth = std::min<SimTime>(life.birth, window);
-    b.death = std::min<SimTime>(life.death, window);
-    emit_browsing(trace, b.host, b.birth, b.death, rng);
-    emit_tor_client(trace, b.host, b.guards, b.birth, b.death,
-                    config.onion_mean_gap, rng);
-    bot_index.emplace(life.node, bots.size());
-    bots.push_back(b);
+    c.bots.push_back({life.node, 0, std::min<SimTime>(life.birth, window),
+                      std::min<SimTime>(life.death, window)});
   }
+  if (c.bots.empty()) return c;
 
-  // Event-driven emission: campaign activity surfaces only as extra
-  // cells into the acting bot's guards — bootstrap peering (both the
-  // requester's introduction and the target's answer ride circuits) and
-  // SOAP rounds at the captured bot. Leaves and takedowns need no
-  // emission; the lifetime clamp already went dark at the right time.
-  const auto cell_from = [&](std::uint64_t node, SimTime at) {
-    const auto it = bot_index.find(static_cast<graph::NodeId>(node));
-    if (it == bot_index.end()) return;  // subsampled out
-    const BotState& b = bots[it->second];
-    if (at < b.birth || at >= b.death) return;
-    trace.flows.push_back(tor_cell_flow(
-        b.host, b.guards[rng.uniform(b.guards.size())], at, rng));
+  if (c.relays.empty()) {
+    ONION_EXPECTS(config.tor_relays > 0);
+    c.relays = register_tor_relays(trace, config.tor_relays, next);
+  }
+  out.onion_bots.reserve(c.bots.size());
+  for (ReplayBot& b : c.bots) {
+    b.host = next++;
+    out.onion_bots.push_back(b.host);
+  }
+  return c;
+}
+
+void for_each_event_cell(
+    const TraceSource& campaign, const std::vector<ReplayBot>& bots,
+    const std::function<void(std::size_t bot, SimTime at)>& cell) {
+  if (bots.empty()) return;
+  const auto cell_at = [&](std::uint64_t word, SimTime at) {
+    const auto node = static_cast<graph::NodeId>(word);
+    const auto it = std::lower_bound(
+        bots.begin(), bots.end(), node,
+        [](const ReplayBot& b, graph::NodeId n) { return b.node < n; });
+    if (it == bots.end() || it->node != node) return;  // subsampled out
+    if (at < it->birth || at >= it->death) return;
+    cell(static_cast<std::size_t>(it - bots.begin()), at);
   };
   graph::NodeId soap_captured = graph::kInvalidNode;
   campaign.for_each_event([&](const CampaignEvent& e) {
     switch (e.kind) {
       case TraceEventKind::Peering:
-        cell_from(e.a, e.at);
-        cell_from(e.b, e.at);
+      case TraceEventKind::HealPeering:
+        // Bootstrap peering and charged DDSR healing are both real peer
+        // traffic: the request and its answer each ride Tor circuits.
+        cell_at(e.a, e.at);
+        cell_at(e.b, e.at);
         break;
       case TraceEventKind::SoapCapture:
         soap_captured = static_cast<graph::NodeId>(e.a);
         break;
       case TraceEventKind::SoapRound:
         if (soap_captured != graph::kInvalidNode)
-          cell_from(soap_captured, e.at);
-        break;
-      case TraceEventKind::HealPeering:
-        // Charged DDSR healing is real peer traffic: both the repair
-        // request and its answer ride Tor circuits, exactly like
-        // bootstrap peering above.
-        cell_from(e.a, e.at);
-        cell_from(e.b, e.at);
+          cell_at(soap_captured, e.at);
         break;
       case TraceEventKind::Join:
       case TraceEventKind::Leave:
       case TraceEventKind::Takedown:
+        // No emission: the lifetime clamp already went dark on time.
       case TraceEventKind::WaveStart:       // attacker-side bookkeeping:
       case TraceEventKind::AdaptiveRefresh: // no bot emits anything
         break;
     }
   });
-  return out;
+}
+
+ReplayResult replay_trace(const TraceSource& campaign,
+                          const ReplayConfig& config) {
+  ReplayComposition c = compose_replay(campaign, config);
+  TrafficTrace& trace = c.result.trace;
+
+  // Steady-state emission: each bot browses (its human owner is still at
+  // the keyboard) and heartbeats into its guards while alive.
+  std::vector<std::array<HostId, 3>> guards;
+  guards.reserve(c.bots.size());
+  for (const ReplayBot& b : c.bots) {
+    trace.hosts.push_back(b.host);
+    trace.infected.push_back(b.host);
+    guards.push_back(pick_guards(c.relays, c.rng));
+    emit_browsing(trace, b.host, b.birth, b.death, c.rng);
+    emit_tor_client(trace, b.host, guards.back(), b.birth, b.death,
+                    config.onion_mean_gap, c.rng);
+  }
+
+  // Event-driven emission, drawn in global event order.
+  for_each_event_cell(campaign, c.bots, [&](std::size_t i, SimTime at) {
+    trace.flows.push_back(tor_cell_flow(
+        c.bots[i].host, guards[i][c.rng.uniform(guards[i].size())], at,
+        c.rng));
+  });
+  return std::move(c.result);
 }
 
 ReplayResult replay_trace(const CampaignTrace& campaign,

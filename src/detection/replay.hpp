@@ -26,9 +26,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "detection/roc.hpp"
 #include "detection/telemetry.hpp"
 #include "detection/traffic.hpp"
@@ -89,6 +91,49 @@ struct ReplayResult {
   std::vector<HostId> benign_web_hosts;
   std::vector<HostId> benign_tor_users;
 };
+
+/// One campaign bot mapped to a monitored host, its lifetime clamped to
+/// the observation window.
+struct ReplayBot {
+  graph::NodeId node = graph::kInvalidNode;
+  HostId host = 0;
+  SimTime birth = 0;
+  SimTime death = 0;
+};
+
+/// Everything a replay composes before it emits a single campaign-bot
+/// flow — the one definition both replay_trace and the streamed twin
+/// (detection/replay_grid.hpp) build on:
+///   - the background: benign hosts, then the legacy families, their
+///     flows already emitted into `result.trace`;
+///   - the relay registry (the benign one, or a campaign-only registry
+///     when no benign Tor users exist and some bot is mapped);
+///   - the onion bots: lifetimes() in node-id order, capped at
+///     max_onion_bots, minus bots born at or after the window's end,
+///     clamped to the window, host ids assigned in that order (also
+///     listed in `result.onion_bots`).
+/// `rng` is left positioned after the background draws; the two replay
+/// paths then draw the bots' emission in their own orders.
+struct ReplayComposition {
+  ReplayResult result;
+  std::vector<HostId> relays;
+  std::vector<ReplayBot> bots;  // ascending node id
+  Rng rng;
+};
+
+ReplayComposition compose_replay(const scenario::TraceSource& campaign,
+                                 const ReplayConfig& config);
+
+/// The event → cell rule: campaign activity surfaces only as extra cells
+/// into the acting bot's guards. Peering and HealPeering emit at both
+/// ends; a SoapRound emits at the most recent SoapCapture's node (none
+/// before the first capture); every other event kind emits nothing.
+/// Calls `cell(bot, at)` — `bot` indexing `bots` — in recorded event
+/// order, for events inside the bot's [birth, death) only. One forward
+/// event pass, skipped when `bots` is empty.
+void for_each_event_cell(
+    const scenario::TraceSource& campaign, const std::vector<ReplayBot>& bots,
+    const std::function<void(std::size_t bot, SimTime at)>& cell);
 
 /// Synthesizes the defender's capture from a recorded campaign. The
 /// campaign must have begun (CampaignEngine::run delivers on_begin);

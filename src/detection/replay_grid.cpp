@@ -13,8 +13,6 @@ namespace onion::detection {
 
 namespace {
 
-using scenario::CampaignEvent;
-using scenario::TraceEventKind;
 using scenario::TraceSource;
 
 std::string fmt(double v) {
@@ -42,141 +40,45 @@ void feed_grouped(const TrafficTrace& scratch, FlowSink& sink,
 StreamPopulations replay_trace_streaming(const TraceSource& campaign,
                                          const ReplayConfig& config,
                                          FlowSink& sink) {
-  ONION_EXPECTS(campaign.began());
-  const SimDuration window =
-      config.window > 0 ? config.window : campaign.horizon();
-  ONION_EXPECTS(window > 0);
-
-  Rng rng(config.seed);
+  // The background is config-bounded, so it composes into a scratch
+  // trace and streams out grouped by host; what must never be
+  // materialized is the campaign population's capture below.
+  ReplayComposition c = compose_replay(campaign, config);
   StreamPopulations out;
-  HostId next = config.first_host;
+  sink.on_relays(c.result.trace.known_tor_relays);
+  feed_grouped(c.result.trace, sink, out.flows);
 
-  // Stage 1 — benign background and legacy families, exactly as
-  // replay_trace composes them (same emitters, same RNG draw order, so
-  // the population host ids match the batch path's). These populations
-  // are config-bounded, so a scratch trace holds them comfortably; what
-  // must never be materialized is the campaign population below.
-  ReplayResult pops;
-  TrafficTrace& scratch = pops.trace;
-  TrafficConfig bg;
-  bg.window = window;
-  bg.benign_web = config.benign_web;
-  bg.benign_tor = config.benign_tor;
-  bg.tor_relays = config.tor_relays;
-  bg.tor_mean_gap = config.benign_tor_mean_gap;
-  const BenignPopulation benign = emit_benign(scratch, bg, next, rng);
-  pops.benign_web_hosts = benign.web_hosts;
-  pops.benign_tor_users = benign.tor_users;
-  if (config.centralized_bots > 0)
-    pops.centralized_bots = emit_centralized_bots(
-        scratch, config.centralized_bots, window, next, rng);
-  if (config.dga_bots > 0)
-    pops.dga_bots =
-        emit_dga_bots(scratch, config.dga_bots, window, next, rng);
-  if (config.fastflux_bots > 0)
-    pops.fastflux_bots =
-        emit_fastflux_bots(scratch, config.fastflux_bots, window, next, rng);
-  if (config.p2p_bots > 0)
-    pops.p2p_bots =
-        emit_p2p_bots(scratch, config.p2p_bots, window, next, rng);
+  // Per-bot cell times up front: bounded by campaign activity, never by
+  // the churn-dominated event count.
+  std::vector<std::vector<SimTime>> cell_times(c.bots.size());
+  for_each_event_cell(campaign, c.bots, [&](std::size_t i, SimTime at) {
+    cell_times[i].push_back(at);
+  });
 
-  // Campaign population setup (host ids assigned before any feeding so
-  // the relay registry is complete when the sink first sees a flow).
-  std::vector<scenario::BotLifetime> lifetimes;
-  std::vector<HostId> relays = benign.relays;
-  if (config.max_onion_bots > 0) {
-    lifetimes = campaign.lifetimes();
-    if (lifetimes.size() > config.max_onion_bots)
-      lifetimes.resize(config.max_onion_bots);  // oldest bots first
-    lifetimes.erase(
-        std::remove_if(lifetimes.begin(), lifetimes.end(),
-                       [&](const scenario::BotLifetime& life) {
-                         return life.birth >= window;  // never observable
-                       }),
-        lifetimes.end());
-    if (!lifetimes.empty() && relays.empty()) {
-      ONION_EXPECTS(config.tor_relays > 0);
-      relays = register_tor_relays(scratch, config.tor_relays, next);
-    }
+  // One bot at a time: synthesize, feed, release. This is the O(window)
+  // loop, and it draws each bot's event cells right after its steady
+  // state — per-bot order, where replay_trace draws them in global
+  // event order.
+  TrafficTrace bot_scratch;
+  for (std::size_t i = 0; i < c.bots.size(); ++i) {
+    const ReplayBot& b = c.bots[i];
+    const std::array<HostId, 3> guards = pick_guards(c.relays, c.rng);
+    bot_scratch.flows.clear();
+    bot_scratch.dns.clear();
+    emit_browsing(bot_scratch, b.host, b.birth, b.death, c.rng);
+    emit_tor_client(bot_scratch, b.host, guards, b.birth, b.death,
+                    config.onion_mean_gap, c.rng);
+    for (const SimTime at : cell_times[i])
+      bot_scratch.flows.push_back(tor_cell_flow(
+          b.host, guards[c.rng.uniform(guards.size())], at, c.rng));
+    std::vector<SimTime>().swap(cell_times[i]);
+    for (const FlowRecord& f : bot_scratch.flows) sink.on_flow(f);
+    out.flows += bot_scratch.flows.size();
+    sink.on_host_done(b.host);
   }
 
-  sink.on_relays(scratch.known_tor_relays);
-  feed_grouped(scratch, sink, out.flows);
-
-  if (!lifetimes.empty()) {
-    // Host ids and per-bot event times up front: one forward event pass
-    // collects only the cell-emitting events' timestamps (bootstrap and
-    // healing peerings, SOAP rounds) — bounded by campaign activity,
-    // never by the churn-dominated event count.
-    std::map<graph::NodeId, HostId> bot_host;
-    std::map<graph::NodeId, std::pair<SimTime, SimTime>> bot_window;
-    pops.onion_bots.reserve(lifetimes.size());
-    for (const scenario::BotLifetime& life : lifetimes) {
-      const HostId host = next++;
-      pops.onion_bots.push_back(host);
-      bot_host.emplace(life.node, host);
-      bot_window.emplace(life.node,
-                         std::make_pair(std::min<SimTime>(life.birth, window),
-                                        std::min<SimTime>(life.death, window)));
-    }
-    std::map<graph::NodeId, std::vector<SimTime>> cell_times;
-    const auto note = [&](std::uint64_t node, SimTime at) {
-      const auto it = bot_window.find(static_cast<graph::NodeId>(node));
-      if (it == bot_window.end()) return;  // subsampled out
-      if (at < it->second.first || at >= it->second.second) return;
-      cell_times[it->first].push_back(at);
-    };
-    graph::NodeId soap_captured = graph::kInvalidNode;
-    campaign.for_each_event([&](const CampaignEvent& e) {
-      switch (e.kind) {
-        case TraceEventKind::Peering:
-        case TraceEventKind::HealPeering:
-          note(e.a, e.at);
-          note(e.b, e.at);
-          break;
-        case TraceEventKind::SoapCapture:
-          soap_captured = static_cast<graph::NodeId>(e.a);
-          break;
-        case TraceEventKind::SoapRound:
-          if (soap_captured != graph::kInvalidNode)
-            note(soap_captured, e.at);
-          break;
-        case TraceEventKind::Join:
-        case TraceEventKind::Leave:
-        case TraceEventKind::Takedown:
-        case TraceEventKind::WaveStart:
-        case TraceEventKind::AdaptiveRefresh:
-          break;
-      }
-    });
-
-    // Stage 2 — one bot at a time: synthesize, feed, release. This is
-    // the O(window) loop; the per-bot scratch never outlives the bot.
-    TrafficTrace bot_scratch;
-    for (const scenario::BotLifetime& life : lifetimes) {
-      const HostId host = bot_host.at(life.node);
-      const auto [birth, death] = bot_window.at(life.node);
-      const std::array<HostId, 3> guards = pick_guards(relays, rng);
-      bot_scratch.flows.clear();
-      bot_scratch.dns.clear();
-      emit_browsing(bot_scratch, host, birth, death, rng);
-      emit_tor_client(bot_scratch, host, guards, birth, death,
-                      config.onion_mean_gap, rng);
-      const auto times = cell_times.find(life.node);
-      if (times != cell_times.end()) {
-        for (const SimTime at : times->second)
-          bot_scratch.flows.push_back(tor_cell_flow(
-              host, guards[rng.uniform(guards.size())], at, rng));
-        cell_times.erase(times);
-      }
-      for (const FlowRecord& f : bot_scratch.flows) sink.on_flow(f);
-      out.flows += bot_scratch.flows.size();
-      sink.on_host_done(host);
-    }
-  }
-
-  out.truth = replay_ground_truth(pops);
-  out.known_tor_relays = scratch.known_tor_relays;
+  out.truth = replay_ground_truth(c.result);
+  out.known_tor_relays = c.result.trace.known_tor_relays;
   for (const GroundTruth::Population& pop : out.truth.populations) {
     const bool is_benign =
         pop.name == "benign_web" || pop.name == "benign_tor";

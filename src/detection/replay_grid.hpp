@@ -7,15 +7,18 @@
 // Three pieces:
 //
 //   FlowSink / replay_trace_streaming
-//     The O(window) twin of detection::replay_trace: same populations,
-//     same emitters, but flows stream into a sink grouped by source
-//     host instead of accumulating in a trace. Peak memory is one
-//     host's flows plus the population tables — never the capture.
-//     NOTE: the streamed capture is its own deterministic artifact, not
-//     byte-identical to replay_trace's (the batch path draws event-cell
-//     randomness in global event order; the streaming path draws it
-//     per-bot). Equal (campaign, config) still reproduce the streamed
-//     capture — and every grid fingerprint — exactly.
+//     The O(window) twin of detection::replay_trace: flows stream into a
+//     sink grouped by source host instead of accumulating in a trace.
+//     Peak memory is one host's flows plus the population tables —
+//     never the capture. Both paths share one composition
+//     (compose_replay: background, relays, bot selection) and one event
+//     → cell rule (for_each_event_cell); only their emission loops
+//     differ. NOTE: the streamed capture is still its own deterministic
+//     artifact, not byte-identical to replay_trace's: the batch path
+//     draws event-cell randomness in global event order, the streaming
+//     path per bot (so it never holds more than one bot's flows), and
+//     goldens pin both orders. Equal (campaign, config) reproduce the
+//     streamed capture — and every grid fingerprint — exactly.
 //
 //   FlowScorer
 //     A FlowSink evaluating every configured flow-beacon threshold and
@@ -75,9 +78,8 @@ struct StreamPopulations {
 };
 
 /// Streams the synthesized defender's capture into `sink` and returns
-/// the population tables. Same population layout and host-id assignment
-/// as replay_trace (benign, then legacy families, then campaign bots in
-/// node-id order), any TraceSource (two forward event passes).
+/// the population tables. Same composition as replay_trace
+/// (compose_replay), any TraceSource (two forward event passes).
 StreamPopulations replay_trace_streaming(
     const scenario::TraceSource& campaign, const ReplayConfig& config,
     FlowSink& sink);

@@ -2,18 +2,13 @@
 
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
 #include <string>
-#include <system_error>
 #include <utility>
 
 #include "common/check.hpp"
-#include "common/fileio.hpp"
 #include "scenario/wire.hpp"
 
 namespace onion::detection {
-
-namespace fs = std::filesystem;
 
 std::string replay_cell_frame_filename(std::uint64_t cell_index) {
   char name[48];
@@ -97,7 +92,7 @@ bool ReplayGridJob::accept_frame(std::uint64_t cell_index, BytesView framed,
   return true;
 }
 
-ReplayGridReport ReplayGridJob::take_report() {
+ReplayGridReport ReplayGridJob::take_report(scenario::ProcessOutcome outcome) {
   ReplayGridReport report;
   report.points.reserve(cells_.size() * grid_.points_per_cell());
   for (std::size_t i = 0; i < cells_.size(); ++i) {
@@ -106,16 +101,12 @@ ReplayGridReport ReplayGridJob::take_report() {
       report.points.push_back(std::move(p));
   }
   report.fingerprint = combine_replay_points(report.points);
+  report.failed_cells = std::move(outcome.failed_cells);
+  report.threads_used = outcome.workers;
+  report.retries = outcome.retries;
+  report.resumed_cells = outcome.resumed_cells;
+  report.wall_seconds = outcome.wall_seconds;
   return report;
-}
-
-void run_replay_worker_cells(
-    const ReplayGrid& grid,
-    std::vector<const scenario::TraceSource*> campaigns,
-    const std::vector<scenario::CellAssignment>& assignments,
-    const std::string& results_dir, const scenario::FaultPlan& faults) {
-  ReplayGridJob job(grid, std::move(campaigns));
-  run_job_worker_cells(job, assignments, results_dir, faults);
 }
 
 ReplayGridReport merge_replay_frames(const ReplayGrid& grid,
@@ -123,51 +114,12 @@ ReplayGridReport merge_replay_frames(const ReplayGrid& grid,
                                      const std::string& results_dir) {
   const auto start = std::chrono::steady_clock::now();
   ReplayGridJob job(grid, campaign_count);
-  std::vector<scenario::FailedCell> failed;
-  for (std::size_t i = 0; i < job.size(); ++i) {
-    const std::string path = results_dir + "/" + job.frame_filename(i);
-    std::string error;
-    std::error_code ec;
-    if (!fs::exists(path, ec)) {
-      error = "no result frame";
-    } else {
-      try {
-        if (job.accept_frame(i, read_file_bytes(path), error)) continue;
-      } catch (const std::exception& e) {
-        error = e.what();
-      }
-    }
-    failed.push_back({i, job.cell_label(i), job.cell_seed(i),
-                      /*attempts=*/0, error});
-  }
-  ReplayGridReport report = job.take_report();
-  report.failed_cells = std::move(failed);
-  report.wall_seconds =
+  scenario::ProcessOutcome outcome;
+  outcome.failed_cells = scenario::accept_frames(job, results_dir);
+  outcome.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  return report;
-}
-
-ReplayGridCoordinator::ReplayGridCoordinator(
-    const ReplayGrid& grid,
-    std::vector<const scenario::TraceSource*> campaigns,
-    scenario::GridCoordinatorConfig config)
-    : grid_(grid), campaigns_(std::move(campaigns)), config_(std::move(config)) {
-  scenario::validate_coordinator_config(config_);
-}
-
-ReplayGridReport ReplayGridCoordinator::run() {
-  ReplayGridJob job(grid_, campaigns_);
-  scenario::ProcessCellCoordinator coordinator(job, config_);
-  scenario::ProcessOutcome outcome = coordinator.run();
-
-  ReplayGridReport report = job.take_report();
-  report.failed_cells = std::move(outcome.failed_cells);
-  report.threads_used = outcome.workers;
-  report.retries = outcome.retries;
-  report.resumed_cells = outcome.resumed_cells;
-  report.wall_seconds = outcome.wall_seconds;
-  return report;
+  return job.take_report(std::move(outcome));
 }
 
 }  // namespace onion::detection

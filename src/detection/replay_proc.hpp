@@ -1,25 +1,21 @@
 // Multi-process replay grids over shared trace files: the replay-level
-// twin of the campaign transport in scenario/runner.hpp. A recorded
+// binding of the campaign transport in scenario/runner.hpp. A recorded
 // campaign trace (scenario/trace_io.hpp) is the shared input — workers
 // on the same filesystem each open it read-only via TraceReader
 // (O(window) memory, header+footer validated at open so a truncated
 // copy fails fast) and publish one wire frame per (campaign, seed) cell
 // into a results directory.
 //
-// Three entry points:
+// Two entry points:
 //
-//   run_replay_worker_cells
-//     The worker half: executes an explicit cell subset of a ReplayGrid
-//     and atomically publishes one encoded ReplayGridCell frame per
-//     cell. Serves both the gridworker binary's --replay-grid --worker
-//     mode and the coordinator's forked children.
-//
-//   ReplayGridCoordinator
-//     The fault-tolerant driver: forks workers, applies the per-cell
+//   ReplayGridJob
+//     The CellJob for replay cells. scenario::run_job_worker_cells runs
+//     its cells in the gridworker binary's --replay-grid --worker mode;
+//     scenario::ProcessCellCoordinator drives it with the per-cell
 //     no-progress timeout, bounded-backoff retry, FaultPlan injection,
-//     quarantine, and checkpoint/resume of scenario's
-//     ProcessCellCoordinator to replay cells. The merged report's
-//     fingerprint is byte-identical to in-process ReplayGrid::run —
+//     quarantine, and checkpoint/resume, and take_report(outcome) folds
+//     the run into a ReplayGridReport whose fingerprint is
+//     byte-identical to in-process ReplayGrid::run —
 //     tests/gridproc_test.cpp proves it under crash injection.
 //
 //   merge_replay_frames
@@ -72,11 +68,12 @@ class ReplayGridJob final : public scenario::CellJob {
   bool accept_frame(std::uint64_t cell_index, BytesView framed,
                     std::string& error) override;
 
-  /// Folds the accepted cells into a report: points are the completed
-  /// cells' slices concatenated in cell order, and the fingerprint
-  /// covers exactly those points — so a full collection reproduces the
-  /// in-process ReplayGrid::run digest byte-for-byte.
-  ReplayGridReport take_report();
+  /// Folds the accepted cells and a coordinated run's `outcome` into a
+  /// report: points are the completed cells' slices concatenated in
+  /// cell order, and the fingerprint covers exactly those points — so a
+  /// full collection reproduces the in-process ReplayGrid::run digest
+  /// byte-for-byte.
+  ReplayGridReport take_report(scenario::ProcessOutcome outcome = {});
 
  private:
   const ReplayGrid& grid_;
@@ -86,40 +83,11 @@ class ReplayGridJob final : public scenario::CellJob {
   std::vector<bool> present_;
 };
 
-/// Worker half of the replay transport: runs `assignments` (with
-/// deterministic fault injection) and atomically publishes one frame
-/// per cell into `results_dir`.
-void run_replay_worker_cells(
-    const ReplayGrid& grid,
-    std::vector<const scenario::TraceSource*> campaigns,
-    const std::vector<scenario::CellAssignment>& assignments,
-    const std::string& results_dir, const scenario::FaultPlan& faults = {});
-
 /// Merge-only: folds the valid replay frames in `results_dir` into a
 /// report. Missing or invalid cells land in failed_cells (attempts 0)
 /// with the rejection reason; nothing is executed or retried.
 ReplayGridReport merge_replay_frames(const ReplayGrid& grid,
                                      std::size_t campaign_count,
                                      const std::string& results_dir);
-
-/// Fault-tolerant multi-process driver for a ReplayGrid, generic over
-/// the same GridCoordinatorConfig as the campaign transport (workers,
-/// retries, timeout, backoff, faults, resume).
-class ReplayGridCoordinator {
- public:
-  ReplayGridCoordinator(const ReplayGrid& grid,
-                        std::vector<const scenario::TraceSource*> campaigns,
-                        scenario::GridCoordinatorConfig config);
-
-  /// Resumes over valid frames, executes the rest in forked workers,
-  /// and merges. threads_used reports the worker count; retries,
-  /// resumed_cells, and failed_cells carry the process history.
-  ReplayGridReport run();
-
- private:
-  const ReplayGrid& grid_;
-  std::vector<const scenario::TraceSource*> campaigns_;
-  scenario::GridCoordinatorConfig config_;
-};
 
 }  // namespace onion::detection

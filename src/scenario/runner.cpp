@@ -58,53 +58,6 @@ void execute_cell(const GridCell& cell, CellResult& out) {
   out.events_executed = engine.events_executed();
 }
 
-/// Binds a CampaignGrid to the generic process machinery: frames are
-/// encoded CellResults, identity is (label, seed), accepted results
-/// collect into a grid-order vector the coordinator turns into a
-/// GridReport.
-class CampaignCellJob final : public CellJob {
- public:
-  explicit CampaignCellJob(const CampaignGrid& grid)
-      : grid_(grid), results_(grid.size()) {}
-
-  std::size_t size() const override { return grid_.size(); }
-  std::string frame_filename(std::uint64_t cell_index) const override {
-    return cell_frame_filename(cell_index);
-  }
-  std::string cell_label(std::uint64_t cell_index) const override {
-    return grid_.cells()[cell_index].label;
-  }
-  std::uint64_t cell_seed(std::uint64_t cell_index) const override {
-    return grid_.cells()[cell_index].spec.seed;
-  }
-  Bytes run_cell(std::uint64_t cell_index) const override {
-    CellResult result;
-    execute_cell(grid_.cells()[cell_index], result);
-    return wire::encode_cell_result(result);
-  }
-  bool accept_frame(std::uint64_t cell_index, BytesView framed,
-                    std::string& error) override {
-    CellResult loaded = wire::decode_cell_result(framed);
-    const GridCell& expected = grid_.cells()[cell_index];
-    if (loaded.label != expected.label ||
-        loaded.seed != expected.spec.seed) {
-      error = "frame identity mismatch: holds (" + loaded.label +
-              ", seed " + std::to_string(loaded.seed) + "), expected (" +
-              expected.label + ", seed " +
-              std::to_string(expected.spec.seed) + ")";
-      return false;
-    }
-    results_[cell_index] = std::move(loaded);
-    return true;
-  }
-
-  std::vector<CellResult> take_results() { return std::move(results_); }
-
- private:
-  const CampaignGrid& grid_;
-  std::vector<CellResult> results_;
-};
-
 std::uint64_t parse_u64(std::string_view token, std::string_view context) {
   std::uint64_t value = 0;
   const auto [ptr, err] =
@@ -302,14 +255,6 @@ void run_job_worker_cells(const CellJob& job,
   }
 }
 
-void run_worker_cells(const CampaignGrid& grid,
-                      const std::vector<CellAssignment>& assignments,
-                      const std::string& results_dir,
-                      const FaultPlan& faults) {
-  CampaignCellJob job(grid);
-  run_job_worker_cells(job, assignments, results_dir, faults);
-}
-
 // --------------------------------------------------------------------
 // Coordinator side
 // --------------------------------------------------------------------
@@ -342,8 +287,9 @@ std::string describe_exit(const WorkerProc& w, double timeout_seconds) {
 
 /// Reads and accepts one cell frame. On failure, `error` says why
 /// (missing file, wire defect, or the job's identity rejection).
-bool try_accept_frame(CellJob& job, const std::string& path,
+bool try_accept_frame(CellJob& job, const std::string& results_dir,
                       std::uint64_t cell_index, std::string& error) {
+  const std::string path = results_dir + "/" + job.frame_filename(cell_index);
   std::error_code ec;
   if (!fs::exists(path, ec)) {
     error = "no result frame";
@@ -358,6 +304,18 @@ bool try_accept_frame(CellJob& job, const std::string& path,
 }
 
 }  // namespace
+
+std::vector<FailedCell> accept_frames(CellJob& job,
+                                      const std::string& results_dir) {
+  std::vector<FailedCell> failed;
+  for (std::uint64_t i = 0; i < job.size(); ++i) {
+    std::string error;
+    if (!try_accept_frame(job, results_dir, i, error))
+      failed.push_back({i, job.cell_label(i), job.cell_seed(i),
+                        /*attempts=*/0, std::move(error)});
+  }
+  return failed;
+}
 
 void validate_coordinator_config(const GridCoordinatorConfig& config) {
   ONION_EXPECTS(!config.results_dir.empty());
@@ -391,17 +349,13 @@ ProcessOutcome ProcessCellCoordinator::run() {
   // Checkpoint/resume: frames that decode cleanly and pass the job's
   // identity check are final results; anything else (missing, truncated,
   // corrupt, stale identity) is removed and re-run.
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::string path = frame_path(i);
-    std::string error;
-    if (try_accept_frame(job_, path, i, error)) {
-      ++outcome.resumed_cells;
-    } else {
-      std::error_code ec;
-      fs::remove(path, ec);  // invalid leftovers must not mask progress
-      pending.push_back(i);
-    }
+  for (const FailedCell& f : accept_frames(job_, config_.results_dir)) {
+    // Invalid leftovers must not mask progress.
+    std::error_code ec;
+    fs::remove(frame_path(f.cell_index), ec);
+    pending.push_back(static_cast<std::size_t>(f.cell_index));
   }
+  outcome.resumed_cells = n - pending.size();
 
   std::size_t round = 0;
   while (!pending.empty()) {
@@ -472,11 +426,10 @@ ProcessOutcome ProcessCellCoordinator::run() {
     for (const WorkerProc& w : workers) {
       for (const CellAssignment& a : w.cells) {
         const std::size_t i = static_cast<std::size_t>(a.cell_index);
-        const std::string path = frame_path(i);
         std::string error;
-        if (try_accept_frame(job_, path, i, error)) continue;
+        if (try_accept_frame(job_, config_.results_dir, i, error)) continue;
         std::error_code ec;
-        fs::remove(path, ec);
+        fs::remove(frame_path(i), ec);
         ++attempts[i];
         const std::string cause =
             error + " (" + describe_exit(w, config_.cell_timeout_seconds) +
@@ -512,19 +465,48 @@ ProcessOutcome ProcessCellCoordinator::run() {
   return outcome;
 }
 
-GridCoordinator::GridCoordinator(const CampaignGrid& grid,
-                                 GridCoordinatorConfig config)
-    : grid_(grid), config_(std::move(config)) {
-  validate_coordinator_config(config_);
+// --------------------------------------------------------------------
+// Campaign cells over the process machinery
+// --------------------------------------------------------------------
+
+CampaignCellJob::CampaignCellJob(const CampaignGrid& grid)
+    : grid_(grid), results_(grid.size()) {}
+
+std::string CampaignCellJob::frame_filename(std::uint64_t cell_index) const {
+  return cell_frame_filename(cell_index);
 }
 
-GridReport GridCoordinator::run() {
-  CampaignCellJob job(grid_);
-  ProcessCellCoordinator coordinator(job, config_);
-  ProcessOutcome outcome = coordinator.run();
+std::string CampaignCellJob::cell_label(std::uint64_t cell_index) const {
+  return grid_.cells()[cell_index].label;
+}
 
+std::uint64_t CampaignCellJob::cell_seed(std::uint64_t cell_index) const {
+  return grid_.cells()[cell_index].spec.seed;
+}
+
+Bytes CampaignCellJob::run_cell(std::uint64_t cell_index) const {
+  CellResult result;
+  execute_cell(grid_.cells()[cell_index], result);
+  return wire::encode_cell_result(result);
+}
+
+bool CampaignCellJob::accept_frame(std::uint64_t cell_index, BytesView framed,
+                                   std::string& error) {
+  CellResult loaded = wire::decode_cell_result(framed);
+  const GridCell& expected = grid_.cells()[cell_index];
+  if (loaded.label != expected.label || loaded.seed != expected.spec.seed) {
+    error = "frame identity mismatch: holds (" + loaded.label + ", seed " +
+            std::to_string(loaded.seed) + "), expected (" + expected.label +
+            ", seed " + std::to_string(expected.spec.seed) + ")";
+    return false;
+  }
+  results_[cell_index] = std::move(loaded);
+  return true;
+}
+
+GridReport CampaignCellJob::take_report(ProcessOutcome outcome) {
   GridReport report;
-  report.cells = job.take_results();
+  report.cells = std::move(results_);
   report.failed_cells = std::move(outcome.failed_cells);
   report.threads_used = outcome.workers;
   report.retries = outcome.retries;
@@ -533,9 +515,9 @@ GridReport GridCoordinator::run() {
   // Quarantined slots keep their identity visible in the report even
   // though no result ever landed.
   for (const FailedCell& f : report.failed_cells) {
-    const std::size_t i = static_cast<std::size_t>(f.cell_index);
-    report.cells[i].label = grid_.cells()[i].label;
-    report.cells[i].seed = grid_.cells()[i].spec.seed;
+    CellResult& slot = report.cells[static_cast<std::size_t>(f.cell_index)];
+    slot.label = f.label;
+    slot.seed = f.seed;
   }
   report.combined_fingerprint = combine_cell_fingerprints(report.cells);
   return report;

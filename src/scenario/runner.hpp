@@ -8,16 +8,18 @@
 // report is deterministic across thread counts and invariant to cell
 // order (tests/runner_test.cpp enforces both).
 //
-// Past one process, GridCoordinator runs the same grid across forked
+// Past one process, ProcessCellCoordinator runs any CellJob — the
+// CampaignCellJob below, or detection::ReplayGridJob — across forked
 // worker processes with a results-directory file transport
 // (scenario/wire.hpp frames): per-cell wall-clock timeouts, bounded
-// exponential-backoff retries, quarantine of permanently failing cells
-// into GridReport::failed_cells, and checkpoint/resume over already-
-// valid frames. The combined fingerprint covers exactly the completed
-// cells, so it is invariant to worker count, partition shape, and retry
-// history — a crash-retried 4-worker run merges to the same digest as a
-// single-process run (tests/gridproc_test.cpp injects every failure
-// mode deterministically via FaultPlan and proves it).
+// exponential-backoff retries, quarantine of permanently failing cells,
+// and checkpoint/resume over already-valid frames; the job's
+// take_report folds the outcome into its report. The combined
+// fingerprint covers exactly the completed cells, so it is invariant to
+// worker count, partition shape, and retry history — a crash-retried
+// 4-worker run merges to the same digest as a single-process run
+// (tests/gridproc_test.cpp injects every failure mode deterministically
+// via FaultPlan and proves it).
 #pragma once
 
 #include <cstdint>
@@ -185,10 +187,11 @@ std::string cell_frame_filename(std::uint64_t cell_index);
 /// The process-transport face of a grid: anything that can execute one
 /// cell into an encoded result frame and validate + retain a decoded
 /// frame fans out across forked worker processes. CampaignGrid binds
-/// through run_worker_cells / GridCoordinator and detection::ReplayGrid
-/// through detection/replay_proc.hpp, so the fork / timeout / retry /
-/// quarantine / resume machinery exists exactly once
-/// (ProcessCellCoordinator) instead of per cell kind.
+/// through CampaignCellJob and detection::ReplayGrid through
+/// detection::ReplayGridJob, so the worker loop
+/// (run_job_worker_cells), the frame scan (accept_frames) and the fork /
+/// timeout / retry / quarantine / resume machinery
+/// (ProcessCellCoordinator) each exist exactly once, not per cell kind.
 class CellJob {
  public:
   virtual ~CellJob() = default;
@@ -225,11 +228,13 @@ void run_job_worker_cells(const CellJob& job,
                           const std::string& results_dir,
                           const FaultPlan& faults = {});
 
-/// CampaignGrid convenience over run_job_worker_cells.
-void run_worker_cells(const CampaignGrid& grid,
-                      const std::vector<CellAssignment>& assignments,
-                      const std::string& results_dir,
-                      const FaultPlan& faults = {});
+/// Offers every cell's frame in `results_dir` to the job
+/// (CellJob::accept_frame) and returns the cells whose frame is missing
+/// or rejected — attempts 0, `error` naming the defect — in cell-index
+/// order. The coordinator's checkpoint scan and the replay merge-only
+/// fold are both this one scan.
+std::vector<FailedCell> accept_frames(CellJob& job,
+                                      const std::string& results_dir);
 
 /// Knobs for the crash-tolerant process coordinator. Defaults are tuned
 /// for real grids; tests shrink the timeouts to keep failure paths fast.
@@ -290,35 +295,30 @@ class ProcessCellCoordinator {
   GridCoordinatorConfig config_;
 };
 
-/// Fans a CampaignGrid across forked worker processes and merges the
-/// results-directory frames into one GridReport, surviving worker
-/// crashes, hangs, and corrupt output:
-///
-///   - each round partitions the outstanding cells round-robin across
-///     up to `workers` forked children running run_worker_cells;
-///   - a worker stuck past cell_timeout_seconds is killed, its
-///     unfinished cells rejoin the queue;
-///   - failed / timed-out / corrupt cells retry with bounded
-///     exponential backoff up to max_attempts executions, then are
-///     quarantined into GridReport::failed_cells (graceful degradation:
-///     completed cells still merge and golden-gate);
-///   - an existing results directory is a checkpoint: frames that
-///     decode cleanly and match the grid's (label, seed) are resumed,
-///     not re-run — corrupt or stale frames are re-run and overwritten.
-///
-/// The merged combined fingerprint covers exactly the completed cells,
-/// so it is provably invariant to worker count, partition shape, and
-/// retry history.
-class GridCoordinator {
+/// Binds a CampaignGrid to the process machinery: frames are encoded
+/// CellResults, identity is (label, seed), and accepted results collect
+/// into a grid-order table.
+class CampaignCellJob final : public CellJob {
  public:
-  GridCoordinator(const CampaignGrid& grid, GridCoordinatorConfig config);
+  explicit CampaignCellJob(const CampaignGrid& grid);
 
-  /// Runs (or resumes) the grid to completion or quarantine.
-  GridReport run();
+  std::size_t size() const override { return grid_.size(); }
+  std::string frame_filename(std::uint64_t cell_index) const override;
+  std::string cell_label(std::uint64_t cell_index) const override;
+  std::uint64_t cell_seed(std::uint64_t cell_index) const override;
+  Bytes run_cell(std::uint64_t cell_index) const override;
+  bool accept_frame(std::uint64_t cell_index, BytesView framed,
+                    std::string& error) override;
+
+  /// Folds the accepted cells and a coordinated run's `outcome` into a
+  /// GridReport: `cells` keeps the grid's full size, quarantined slots
+  /// keep their label and seed with an empty fingerprint, and the
+  /// combined fingerprint covers exactly the completed cells.
+  GridReport take_report(ProcessOutcome outcome = {});
 
  private:
   const CampaignGrid& grid_;
-  GridCoordinatorConfig config_;
+  std::vector<CellResult> results_;
 };
 
 }  // namespace onion::scenario

@@ -9,20 +9,8 @@ namespace onion::scenario::trace_io {
 
 namespace {
 
-[[noreturn]] void bad(const std::string& what) {
-  throw wire::WireError("trace: " + what);
-}
-
-/// Converts ByteReader underflow into a WireError naming the region, so
-/// a truncated payload reports *where* decoding fell off the end.
-template <typename Fn>
-auto decode_payload(const char* what, Fn&& fn) {
-  try {
-    return fn();
-  } catch (const std::out_of_range& e) {
-    bad(std::string(what) + ": " + e.what());
-  }
-}
+using wire::bad;
+using wire::decode_payload;
 
 // Bools travel as full canonical words: one convention repo-wide, and a
 // flipped bit anywhere in the word still decodes to "true" — the
@@ -56,6 +44,9 @@ SessionSpec get_session(ByteReader& r) {
   s.max_hours = r.f64();
   return s;
 }
+
+/// put_phase's encoding: ten canonical words.
+constexpr std::size_t kPhaseBytes = 80;
 
 void put_phase(Bytes& out, const AttackPhase& p) {
   put_u64(out, static_cast<std::uint64_t>(p.kind));
@@ -96,7 +87,7 @@ class File {
  public:
   explicit File(const std::string& path)
       : f_(std::fopen(path.c_str(), "rb")) {
-    if (f_ == nullptr) bad("cannot open " + path);
+    if (f_ == nullptr) bad("cannot open trace file " + path);
   }
   File(const File&) = delete;
   File& operator=(const File&) = delete;
@@ -197,10 +188,10 @@ ScenarioSpec deserialize_spec(ByteReader& r) {
   spec.churn.heal_on_leave = get_bool(r);
   spec.churn.session_leaves = get_bool(r);
   spec.churn.session = get_session(r);
-  spec.attacks.resize(get_size(r));
+  spec.attacks.resize(wire::read_count(r, kPhaseBytes));
   for (AttackPhase& p : spec.attacks) p = get_phase(r);
   spec.waves.start = r.u64();
-  spec.waves.waves.resize(get_size(r));
+  spec.waves.waves.resize(wire::read_count(r, kPhaseBytes + 16));
   for (AttackWave& w : spec.waves.waves) {
     w.attack = get_phase(r);
     w.duration = r.u64();
@@ -225,14 +216,14 @@ Bytes serialize(const TraceHeader& header) {
 }
 
 TraceHeader deserialize_header(BytesView payload) {
-  return decode_payload("header payload", [&] {
+  return decode_payload("trace header payload", [&] {
     ByteReader r(payload);
     TraceHeader h;
     h.spec = deserialize_spec(r);
-    h.initial_nodes.resize(get_size(r));
+    h.initial_nodes.resize(wire::read_count(r, 8));
     for (graph::NodeId& u : h.initial_nodes)
       u = static_cast<graph::NodeId>(r.u64());
-    if (!r.done()) bad("header payload: trailing bytes");
+    if (!r.done()) bad("trace header payload: trailing bytes");
     return h;
   });
 }
@@ -249,7 +240,7 @@ Bytes serialize(const TraceFooter& footer) {
 }
 
 TraceFooter deserialize_footer(BytesView payload) {
-  return decode_payload("footer payload", [&] {
+  return decode_payload("trace footer payload", [&] {
     ByteReader r(payload);
     TraceFooter f;
     f.event_count = r.u64();
@@ -257,7 +248,7 @@ TraceFooter deserialize_footer(BytesView payload) {
     f.chunk_count = r.u64();
     const BytesView digest = r.raw(f.event_digest.size());
     std::copy(digest.begin(), digest.end(), f.event_digest.begin());
-    if (!r.done()) bad("footer payload: trailing bytes");
+    if (!r.done()) bad("trace footer payload: trailing bytes");
     return f;
   });
 }
@@ -360,7 +351,7 @@ std::uint64_t TraceReader::for_each_record(
         read_frame_payload(f, kChunkMagic, pos, limit, &frame_bytes);
     pos += frame_bytes;
     ++chunks;
-    decode_payload("chunk payload", [&] {
+    decode_payload("trace chunk payload", [&] {
       ByteReader r(payload);
       while (!r.done()) {
         const std::uint8_t tag = r.raw(1)[0];

@@ -1,17 +1,13 @@
 #include "scenario/wire.hpp"
 
 #include <algorithm>
-#include <stdexcept>
+#include <type_traits>
 
 #include "crypto/sha256.hpp"
 
 namespace onion::scenario::wire {
 
 namespace {
-
-[[noreturn]] void bad(const std::string& what) {
-  throw WireError("wire: " + what);
-}
 
 std::uint32_t get_u32(ByteReader& r) {
   const BytesView b = r.raw(4);
@@ -21,16 +17,127 @@ std::uint32_t get_u32(ByteReader& r) {
          static_cast<std::uint32_t>(b[3]);
 }
 
-/// Payload decoders run behind the frame digest, so a short read means
-/// a bug or a hand-fed buffer — either way it surfaces as a WireError
-/// naming the payload kind, not a bare std::out_of_range.
-template <typename Fn>
-auto decode_payload(const char* what, Fn&& fn) {
-  try {
-    return fn();
-  } catch (const std::out_of_range& e) {
-    bad(std::string(what) + ": " + e.what());
+/// Decodes all of `bytes` with `read`; underflow and trailing bytes
+/// both surface as a WireError naming `what`.
+template <typename Read>
+auto decode_exact(BytesView bytes, const char* what, Read&& read) {
+  return decode_payload(what, [&] {
+    ByteReader r(bytes);
+    auto value = read(r);
+    if (!r.done()) bad(std::string(what) + ": trailing bytes");
+    return value;
+  });
+}
+
+/// The length-prefixed list (snapshots, grid cells, replay points): a
+/// count, then each element's canonical encoding behind its own length
+/// word. Those encodings are what fingerprints hash and are not all
+/// self-delimiting (a snapshot's wave block is conditional); the prefix
+/// keeps the frame decodable without touching them.
+template <typename T, typename Encode>
+void put_list(Bytes& out, const std::vector<T>& items, Encode&& encode) {
+  put_u64(out, items.size());
+  for (const T& item : items) {
+    const Bytes encoded = encode(item);
+    put_u64(out, encoded.size());
+    append(out, encoded);
   }
+}
+
+template <typename Read>
+auto read_list(ByteReader& r, const char* what, Read&& read) {
+  // Each element costs at least its 8-byte length word.
+  const std::size_t count = read_count(r, 8);
+  std::vector<std::decay_t<decltype(read(r))>> items;
+  items.reserve(count);
+  for (std::size_t i = 0; i < count; ++i)
+    items.push_back(
+        decode_exact(r.raw(static_cast<std::size_t>(r.u64())), what, read));
+  return items;
+}
+
+/// The tail both merged-report payloads end with: failed cells, the
+/// fingerprint, then the four informational words.
+template <typename Report>
+void put_report_tail(Bytes& out, const Report& report,
+                     const std::string& fingerprint) {
+  put_u64(out, report.failed_cells.size());
+  for (const FailedCell& cell : report.failed_cells) {
+    put_u64(out, cell.cell_index);
+    put_string(out, cell.label);
+    put_u64(out, cell.seed);
+    put_u64(out, cell.attempts);
+    put_string(out, cell.error);
+  }
+  put_string(out, fingerprint);
+  put_u64(out, report.threads_used);  // informational from here down
+  put_f64(out, report.wall_seconds);
+  put_u64(out, report.retries);
+  put_u64(out, report.resumed_cells);
+}
+
+template <typename Report>
+void read_report_tail(ByteReader& r, Report& report,
+                      std::string& fingerprint) {
+  // A failed cell is at least five words: two of them string lengths.
+  report.failed_cells.resize(read_count(r, 40));
+  for (FailedCell& cell : report.failed_cells) {
+    cell.cell_index = r.u64();
+    cell.label = r.str();
+    cell.seed = r.u64();
+    cell.attempts = r.u64();
+    cell.error = r.str();
+  }
+  fingerprint = r.str();
+  report.threads_used = static_cast<decltype(report.threads_used)>(r.u64());
+  report.wall_seconds = r.f64();
+  report.retries = r.u64();
+  report.resumed_cells = r.u64();
+}
+
+MetricsSnapshot read_snapshot(ByteReader& r) {
+  MetricsSnapshot s;
+  s.time = static_cast<SimTime>(r.u64());
+  s.honest_alive = r.u64();
+  s.sybil_alive = r.u64();
+  s.honest_edges = r.u64();
+  s.components = r.u64();
+  s.largest_component = r.u64();
+  s.largest_fraction = r.f64();
+  s.average_degree = r.f64();
+  s.diameter = r.u64();
+  s.joins = r.u64();
+  s.leaves = r.u64();
+  s.takedowns = r.u64();
+  s.repair_edges = r.u64();
+  s.prune_edges = r.u64();
+  s.refill_edges = r.u64();
+  s.repair_messages = r.u64();
+  s.soap_clones = r.u64();
+  s.soap_contained = r.u64();
+  s.degree_histogram.resize(read_count(r, 4));
+  for (std::uint32_t& bin : s.degree_histogram) bin = get_u32(r);
+  // The conditional trailing block: present iff bytes remain, exactly
+  // mirroring the serializer's empty-guard.
+  if (!r.done()) {
+    s.wave_takedowns.resize(read_count(r, 8));
+    for (std::uint64_t& w : s.wave_takedowns) w = r.u64();
+  }
+  return s;
+}
+
+CellResult read_cell_result(ByteReader& r) {
+  CellResult cell;
+  cell.label = r.str();
+  cell.seed = r.u64();
+  cell.fingerprint = r.str();
+  cell.series = read_list(r, "snapshot", read_snapshot);
+  cell.counters.joins = r.u64();
+  cell.counters.leaves = r.u64();
+  cell.counters.takedowns = r.u64();
+  cell.events_executed = r.u64();
+  cell.wall_seconds = r.f64();
+  return cell;
 }
 
 detection::ReplayGridPoint read_replay_point(ByteReader& r) {
@@ -45,108 +152,40 @@ detection::ReplayGridPoint read_replay_point(ByteReader& r) {
   p.false_positives = static_cast<std::size_t>(r.u64());
   p.tpr = r.f64();
   p.fpr = r.f64();
-  const std::uint64_t families = r.u64();
-  p.families.reserve(static_cast<std::size_t>(families));
-  for (std::uint64_t i = 0; i < families; ++i) {
-    detection::RocFamilyCount f;
+  // A family is at least three words: a string length and two counts.
+  p.families.resize(read_count(r, 24));
+  for (detection::RocFamilyCount& f : p.families) {
     f.family = r.str();
     f.flagged = static_cast<std::size_t>(r.u64());
     f.population = static_cast<std::size_t>(r.u64());
-    p.families.push_back(std::move(f));
   }
   return p;
 }
 
-/// Points travel length-prefixed (like snapshots in a CellResult):
-/// the canonical point encoding detection::serialize produces is what
-/// fingerprints hash, and the prefix keeps the frame decodable without
-/// touching that layout.
-void put_replay_points(
-    Bytes& out, const std::vector<detection::ReplayGridPoint>& points) {
-  put_u64(out, points.size());
-  for (const detection::ReplayGridPoint& p : points) {
-    const Bytes encoded = detection::serialize(p);
-    put_u64(out, encoded.size());
-    append(out, encoded);
-  }
-}
-
-std::vector<detection::ReplayGridPoint> read_replay_points(ByteReader& r) {
-  std::vector<detection::ReplayGridPoint> points;
-  const std::uint64_t count = r.u64();
-  points.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t len = r.u64();
-    ByteReader point_reader(r.raw(static_cast<std::size_t>(len)));
-    points.push_back(read_replay_point(point_reader));
-    if (!point_reader.done()) bad("replay point: trailing bytes");
-  }
-  return points;
-}
-
-void put_failed_cells(Bytes& out, const std::vector<FailedCell>& failed) {
-  put_u64(out, failed.size());
-  for (const FailedCell& cell : failed) {
-    put_u64(out, cell.cell_index);
-    put_string(out, cell.label);
-    put_u64(out, cell.seed);
-    put_u64(out, cell.attempts);
-    put_string(out, cell.error);
-  }
-}
-
-std::vector<FailedCell> read_failed_cells(ByteReader& r) {
-  std::vector<FailedCell> failed;
-  const std::uint64_t count = r.u64();
-  failed.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    FailedCell cell;
-    cell.cell_index = r.u64();
-    cell.label = r.str();
-    cell.seed = r.u64();
-    cell.attempts = r.u64();
-    cell.error = r.str();
-    failed.push_back(std::move(cell));
-  }
-  return failed;
-}
-
-CellResult read_cell_result(ByteReader& r) {
-  CellResult cell;
-  cell.label = r.str();
-  cell.seed = r.u64();
-  cell.fingerprint = r.str();
-  const std::uint64_t count = r.u64();
-  cell.series.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t len = r.u64();
-    cell.series.push_back(
-        deserialize_snapshot(r.raw(static_cast<std::size_t>(len))));
-  }
-  cell.counters.joins = r.u64();
-  cell.counters.leaves = r.u64();
-  cell.counters.takedowns = r.u64();
-  cell.events_executed = r.u64();
-  cell.wall_seconds = r.f64();
-  return cell;
+Bytes encode_point(const detection::ReplayGridPoint& p) {
+  return detection::serialize(p);
 }
 
 }  // namespace
+
+void bad(const std::string& what) { throw WireError("wire: " + what); }
+
+std::size_t read_count(ByteReader& r, std::size_t min_element_bytes) {
+  const std::uint64_t count = r.u64();
+  if (count > r.remaining() / min_element_bytes)
+    bad("declared count " + std::to_string(count) + " of " +
+        std::to_string(min_element_bytes) + "-byte elements overruns the " +
+        std::to_string(r.remaining()) + " bytes left");
+  return static_cast<std::size_t>(count);
+}
 
 Bytes serialize(const CellResult& cell) {
   Bytes out;
   put_string(out, cell.label);
   put_u64(out, cell.seed);
   put_string(out, cell.fingerprint);
-  // Each snapshot length-prefixed: the canonical snapshot encoding is
-  // not self-delimiting (the wave block is conditional), and the prefix
-  // keeps it that way without touching the fingerprinted layout.
-  put_u64(out, cell.series.size());
-  for (const MetricsSnapshot& s : cell.series) {
-    const Bytes encoded = scenario::serialize(s);
-    put_u64(out, encoded.size());
-    append(out, encoded);
-  }
+  put_list(out, cell.series,
+           [](const MetricsSnapshot& s) { return scenario::serialize(s); });
   put_u64(out, cell.counters.joins);
   put_u64(out, cell.counters.leaves);
   put_u64(out, cell.counters.takedowns);
@@ -156,50 +195,22 @@ Bytes serialize(const CellResult& cell) {
 }
 
 CellResult deserialize_cell_result(BytesView payload) {
-  return decode_payload("cell-result payload", [&] {
-    ByteReader r(payload);
-    CellResult cell = read_cell_result(r);
-    if (!r.done()) bad("cell-result payload: trailing bytes");
-    return cell;
-  });
+  return decode_exact(payload, "cell-result payload", read_cell_result);
 }
 
 Bytes serialize(const GridReport& report) {
   Bytes out;
-  put_u64(out, report.cells.size());
-  for (const CellResult& cell : report.cells) {
-    const Bytes encoded = serialize(cell);
-    put_u64(out, encoded.size());
-    append(out, encoded);
-  }
-  put_failed_cells(out, report.failed_cells);
-  put_string(out, report.combined_fingerprint);
-  put_u64(out, report.threads_used);    // informational from here down
-  put_f64(out, report.wall_seconds);
-  put_u64(out, report.retries);
-  put_u64(out, report.resumed_cells);
+  put_list(out, report.cells,
+           [](const CellResult& cell) { return serialize(cell); });
+  put_report_tail(out, report, report.combined_fingerprint);
   return out;
 }
 
 GridReport deserialize_grid_report(BytesView payload) {
-  return decode_payload("grid-report payload", [&] {
-    ByteReader r(payload);
+  return decode_exact(payload, "grid-report payload", [](ByteReader& r) {
     GridReport report;
-    const std::uint64_t cells = r.u64();
-    report.cells.reserve(static_cast<std::size_t>(cells));
-    for (std::uint64_t i = 0; i < cells; ++i) {
-      const std::uint64_t len = r.u64();
-      ByteReader cell_reader(r.raw(static_cast<std::size_t>(len)));
-      report.cells.push_back(read_cell_result(cell_reader));
-      if (!cell_reader.done()) bad("grid-report payload: trailing cell bytes");
-    }
-    report.failed_cells = read_failed_cells(r);
-    report.combined_fingerprint = r.str();
-    report.threads_used = r.u64();
-    report.wall_seconds = r.f64();
-    report.retries = r.u64();
-    report.resumed_cells = r.u64();
-    if (!r.done()) bad("grid-report payload: trailing bytes");
+    report.cells = read_list(r, "grid-report cell", read_cell_result);
+    read_report_tail(r, report, report.combined_fingerprint);
     return report;
   });
 }
@@ -209,99 +220,45 @@ Bytes serialize(const detection::ReplayGridCell& cell) {
   put_u64(out, cell.cell_index);
   put_u64(out, cell.campaign);
   put_u64(out, cell.replay_seed);
-  put_replay_points(out, cell.points);
+  put_list(out, cell.points, encode_point);
   put_f64(out, cell.wall_seconds);  // informational: see header contract
   return out;
 }
 
 detection::ReplayGridCell deserialize_replay_cell(BytesView payload) {
-  return decode_payload("replay-cell payload", [&] {
-    ByteReader r(payload);
+  return decode_exact(payload, "replay-cell payload", [](ByteReader& r) {
     detection::ReplayGridCell cell;
     cell.cell_index = r.u64();
     cell.campaign = r.u64();
     cell.replay_seed = r.u64();
-    cell.points = read_replay_points(r);
+    cell.points = read_list(r, "replay point", read_replay_point);
     cell.wall_seconds = r.f64();
-    if (!r.done()) bad("replay-cell payload: trailing bytes");
     return cell;
   });
 }
 
 Bytes serialize(const detection::ReplayGridReport& report) {
   Bytes out;
-  put_replay_points(out, report.points);
-  put_failed_cells(out, report.failed_cells);
-  put_string(out, report.fingerprint);
-  put_u64(out, report.threads_used);  // informational from here down
-  put_f64(out, report.wall_seconds);
-  put_u64(out, report.retries);
-  put_u64(out, report.resumed_cells);
+  put_list(out, report.points, encode_point);
+  put_report_tail(out, report, report.fingerprint);
   return out;
 }
 
 detection::ReplayGridReport deserialize_replay_report(BytesView payload) {
-  return decode_payload("replay-report payload", [&] {
-    ByteReader r(payload);
+  return decode_exact(payload, "replay-report payload", [](ByteReader& r) {
     detection::ReplayGridReport report;
-    report.points = read_replay_points(r);
-    report.failed_cells = read_failed_cells(r);
-    report.fingerprint = r.str();
-    report.threads_used = static_cast<std::size_t>(r.u64());
-    report.wall_seconds = r.f64();
-    report.retries = r.u64();
-    report.resumed_cells = r.u64();
-    if (!r.done()) bad("replay-report payload: trailing bytes");
+    report.points = read_list(r, "replay point", read_replay_point);
+    read_report_tail(r, report, report.fingerprint);
     return report;
   });
 }
 
 detection::ReplayGridPoint deserialize_replay_point(BytesView encoded) {
-  return decode_payload("replay point", [&] {
-    ByteReader r(encoded);
-    detection::ReplayGridPoint p = read_replay_point(r);
-    if (!r.done()) bad("replay point: trailing bytes");
-    return p;
-  });
+  return decode_exact(encoded, "replay point", read_replay_point);
 }
 
 MetricsSnapshot deserialize_snapshot(BytesView encoded) {
-  return decode_payload("snapshot", [&] {
-    ByteReader r(encoded);
-    MetricsSnapshot s;
-    s.time = static_cast<SimTime>(r.u64());
-    s.honest_alive = r.u64();
-    s.sybil_alive = r.u64();
-    s.honest_edges = r.u64();
-    s.components = r.u64();
-    s.largest_component = r.u64();
-    s.largest_fraction = r.f64();
-    s.average_degree = r.f64();
-    s.diameter = r.u64();
-    s.joins = r.u64();
-    s.leaves = r.u64();
-    s.takedowns = r.u64();
-    s.repair_edges = r.u64();
-    s.prune_edges = r.u64();
-    s.refill_edges = r.u64();
-    s.repair_messages = r.u64();
-    s.soap_clones = r.u64();
-    s.soap_contained = r.u64();
-    const std::uint64_t bins = r.u64();
-    s.degree_histogram.reserve(static_cast<std::size_t>(bins));
-    for (std::uint64_t i = 0; i < bins; ++i)
-      s.degree_histogram.push_back(get_u32(r));
-    // The conditional trailing block: present iff bytes remain, exactly
-    // mirroring the serializer's empty-guard.
-    if (!r.done()) {
-      const std::uint64_t waves = r.u64();
-      s.wave_takedowns.reserve(static_cast<std::size_t>(waves));
-      for (std::uint64_t i = 0; i < waves; ++i)
-        s.wave_takedowns.push_back(r.u64());
-    }
-    if (!r.done()) bad("snapshot: trailing bytes");
-    return s;
-  });
+  return decode_exact(encoded, "snapshot", read_snapshot);
 }
 
 Bytes frame(std::uint64_t magic, BytesView payload) {

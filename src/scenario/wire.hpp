@@ -82,6 +82,32 @@ class WireError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+// --- decoding primitives shared by every decoder in the codec family --
+// (these frames and the trace files of scenario/trace_io.hpp), so any
+// defect surfaces as a WireError naming where decoding stopped.
+
+/// Throws WireError("wire: " + what).
+[[noreturn]] void bad(const std::string& what);
+
+/// Runs `fn`, turning ByteReader underflow into a WireError naming
+/// `what`. Payload decoders run behind the frame digest, so a short read
+/// means a bug or a hand-fed buffer, never a bare std::out_of_range.
+template <typename Fn>
+auto decode_payload(const char* what, Fn&& fn) {
+  try {
+    return fn();
+  } catch (const std::out_of_range& e) {
+    bad(std::string(what) + ": " + e.what());
+  }
+}
+
+/// Reads a declared element count, rejecting it (WireError) unless that
+/// many elements of at least `min_element_bytes` each fit in the bytes
+/// remaining. Every count-driven reserve/resize goes through this: a
+/// valid digest proves integrity, not good intent, and a hostile count
+/// must not escape as std::bad_alloc.
+std::size_t read_count(ByteReader& r, std::size_t min_element_bytes);
+
 // --- payload codecs (version-1 field order, no framing) --------------
 
 Bytes serialize(const CellResult& cell);

@@ -69,11 +69,18 @@ GridCoordinatorConfig fast_config(const std::string& dir) {
   return config;
 }
 
+/// A coordinated campaign grid: its CampaignCellJob driven by
+/// ProcessCellCoordinator, the outcome folded by take_report.
+GridReport coordinate(const CampaignGrid& grid,
+                      const GridCoordinatorConfig& config) {
+  CampaignCellJob job(grid);
+  return job.take_report(ProcessCellCoordinator(job, config).run());
+}
+
 TEST(GridProcess, MultiprocessMatchesInProcessFingerprints) {
   const CampaignGrid grid = tiny_grid();
   const GridReport in_process = grid.run(2);
-  GridCoordinator coordinator(grid, fast_config(fresh_dir("match")));
-  const GridReport merged = coordinator.run();
+  const GridReport merged = coordinate(grid, fast_config(fresh_dir("match")));
   EXPECT_TRUE(merged.failed_cells.empty());
   EXPECT_EQ(merged.retries, 0u);
   EXPECT_EQ(merged.resumed_cells, 0u);
@@ -98,8 +105,7 @@ TEST(GridProcess, EveryFaultKindRetriesToTheSameFingerprint) {
   // cells three different ways and round two repairs them all.
   config.faults = FaultPlan::parse("crash@1:0;corrupt@2:0;hang@3:0");
   config.cell_timeout_seconds = 1.0;  // the hang must die quickly
-  GridCoordinator coordinator(grid, config);
-  const GridReport merged = coordinator.run();
+  const GridReport merged = coordinate(grid, config);
   EXPECT_TRUE(merged.failed_cells.empty());
   EXPECT_GE(merged.retries, 3u);
   EXPECT_EQ(merged.combined_fingerprint, in_process.combined_fingerprint);
@@ -109,8 +115,7 @@ TEST(GridProcess, PermanentCrashQuarantinesAndMergesTheRest) {
   const CampaignGrid grid = tiny_grid();
   GridCoordinatorConfig config = fast_config(fresh_dir("quarantine"));
   config.faults = FaultPlan::parse("crash@2:0;crash@2:1;crash@2:2");
-  GridCoordinator coordinator(grid, config);
-  const GridReport merged = coordinator.run();
+  const GridReport merged = coordinate(grid, config);
   ASSERT_EQ(merged.failed_cells.size(), 1u);
   EXPECT_EQ(merged.failed_cells[0].cell_index, 2u);
   EXPECT_EQ(merged.failed_cells[0].label, grid.cells()[2].label);
@@ -130,8 +135,8 @@ TEST(GridProcess, PermanentCrashQuarantinesAndMergesTheRest) {
 TEST(GridProcess, ResumeSkipsEveryValidFrame) {
   const CampaignGrid grid = tiny_grid();
   const std::string dir = fresh_dir("resume");
-  const GridReport first = GridCoordinator(grid, fast_config(dir)).run();
-  const GridReport second = GridCoordinator(grid, fast_config(dir)).run();
+  const GridReport first = coordinate(grid, fast_config(dir));
+  const GridReport second = coordinate(grid, fast_config(dir));
   EXPECT_EQ(second.resumed_cells, grid.size());
   EXPECT_EQ(second.retries, 0u);
   EXPECT_EQ(second.combined_fingerprint, first.combined_fingerprint);
@@ -140,7 +145,7 @@ TEST(GridProcess, ResumeSkipsEveryValidFrame) {
 TEST(GridProcess, ResumeReRunsOnlyTheCorruptedFrame) {
   const CampaignGrid grid = tiny_grid();
   const std::string dir = fresh_dir("repair");
-  const GridReport first = GridCoordinator(grid, fast_config(dir)).run();
+  const GridReport first = coordinate(grid, fast_config(dir));
   // Flip one payload byte of cell 1's frame; record the other frames so
   // we can prove they were not rewritten.
   std::vector<Bytes> before;
@@ -151,7 +156,7 @@ TEST(GridProcess, ResumeReRunsOnlyTheCorruptedFrame) {
   corrupt[wire::kFrameHeaderBytes + 10] ^= 0x40;
   write_file_atomic(dir + "/" + cell_frame_filename(1), corrupt);
 
-  const GridReport repaired = GridCoordinator(grid, fast_config(dir)).run();
+  const GridReport repaired = coordinate(grid, fast_config(dir));
   EXPECT_EQ(repaired.resumed_cells, grid.size() - 1);
   EXPECT_TRUE(repaired.failed_cells.empty());
   EXPECT_EQ(repaired.combined_fingerprint, first.combined_fingerprint);
@@ -174,14 +179,15 @@ TEST(GridProcess, ResumeReRunsOnlyTheCorruptedFrame) {
 }
 
 TEST(GridProcess, WorkerModeShardsMergeLikeTheCoordinator) {
-  // Two hand-partitioned run_worker_cells calls (the gridworker --worker
-  // path) followed by a coordinator pass over the same directory: every
-  // frame resumes, nothing re-runs, same merge.
+  // Two hand-partitioned run_job_worker_cells calls (the gridworker
+  // --worker path) followed by a coordinator pass over the same
+  // directory: every frame resumes, nothing re-runs, same merge.
   const CampaignGrid grid = tiny_grid();
   const std::string dir = fresh_dir("shards");
-  run_worker_cells(grid, {{0, 0}, {2, 0}}, dir);
-  run_worker_cells(grid, {{1, 0}, {3, 0}}, dir);
-  const GridReport merged = GridCoordinator(grid, fast_config(dir)).run();
+  const CampaignCellJob job(grid);
+  run_job_worker_cells(job, {{0, 0}, {2, 0}}, dir);
+  run_job_worker_cells(job, {{1, 0}, {3, 0}}, dir);
+  const GridReport merged = coordinate(grid, fast_config(dir));
   EXPECT_EQ(merged.resumed_cells, grid.size());
   EXPECT_TRUE(merged.failed_cells.empty());
   EXPECT_EQ(merged.combined_fingerprint,
@@ -208,12 +214,13 @@ TEST(GridProcess, FaultPlanParsesAndRoundTrips) {
 
 TEST(GridProcess, CoordinatorConfigIsValidated) {
   const CampaignGrid grid = tiny_grid();
+  CampaignCellJob job(grid);
   GridCoordinatorConfig config = fast_config(fresh_dir("validate"));
   config.workers = 0;
-  EXPECT_THROW(GridCoordinator(grid, config), ContractViolation);
+  EXPECT_THROW(ProcessCellCoordinator(job, config), ContractViolation);
   config = fast_config(fresh_dir("validate2"));
   config.max_attempts = 0;
-  EXPECT_THROW(GridCoordinator(grid, config), ContractViolation);
+  EXPECT_THROW(ProcessCellCoordinator(job, config), ContractViolation);
 }
 
 // ====================================================================
@@ -262,6 +269,14 @@ RecordedCampaigns open_tiny_traces(const std::string& dir,
   return campaigns;
 }
 
+/// A coordinated replay grid, folded like coordinate() above.
+detection::ReplayGridReport coordinate_replay(
+    const detection::ReplayGrid& grid, const RecordedCampaigns& campaigns,
+    const GridCoordinatorConfig& config) {
+  detection::ReplayGridJob job(grid, campaigns.sources);
+  return job.take_report(ProcessCellCoordinator(job, config).run());
+}
+
 TEST(ReplayProcess, CrashInjectedCoordinatorMatchesInProcessFingerprint) {
   const std::string dir = fresh_dir("replay_match");
   const RecordedCampaigns campaigns = open_tiny_traces(dir, 2);
@@ -272,9 +287,8 @@ TEST(ReplayProcess, CrashInjectedCoordinatorMatchesInProcessFingerprint) {
   GridCoordinatorConfig config = fast_config(dir + "/results");
   config.workers = 4;
   config.faults = FaultPlan::parse("crash@1:0");
-  detection::ReplayGridCoordinator coordinator(grid, campaigns.sources,
-                                               config);
-  const detection::ReplayGridReport merged = coordinator.run();
+  const detection::ReplayGridReport merged =
+      coordinate_replay(grid, campaigns, config);
 
   EXPECT_TRUE(merged.failed_cells.empty());
   EXPECT_GE(merged.retries, 1u);
@@ -294,9 +308,7 @@ TEST(ReplayProcess, ResumeReRunsOnlyTheCorruptedFrame) {
   const std::string results = dir + "/results";
 
   const detection::ReplayGridReport first =
-      detection::ReplayGridCoordinator(grid, campaigns.sources,
-                                       fast_config(results))
-          .run();
+      coordinate_replay(grid, campaigns, fast_config(results));
   const std::size_t cells = grid.cell_count(campaigns.sources.size());
   std::vector<Bytes> before;
   for (std::uint64_t i = 0; i < cells; ++i)
@@ -308,9 +320,7 @@ TEST(ReplayProcess, ResumeReRunsOnlyTheCorruptedFrame) {
       results + "/" + detection::replay_cell_frame_filename(2), corrupt);
 
   const detection::ReplayGridReport repaired =
-      detection::ReplayGridCoordinator(grid, campaigns.sources,
-                                       fast_config(results))
-          .run();
+      coordinate_replay(grid, campaigns, fast_config(results));
   EXPECT_EQ(repaired.resumed_cells, cells - 1);
   EXPECT_TRUE(repaired.failed_cells.empty());
   EXPECT_EQ(repaired.fingerprint, first.fingerprint);
@@ -345,10 +355,9 @@ TEST(ReplayProcess, HandShardedWorkersThenMergeOnlyReproduceTheRun) {
   const detection::ReplayGrid grid(tiny_replay_config());
   const std::string results = dir + "/results";
 
-  detection::run_replay_worker_cells(grid, campaigns.sources,
-                                     {{0, 0}, {2, 0}}, results);
-  detection::run_replay_worker_cells(grid, campaigns.sources,
-                                     {{1, 0}, {3, 0}}, results);
+  const detection::ReplayGridJob job(grid, campaigns.sources);
+  run_job_worker_cells(job, {{0, 0}, {2, 0}}, results);
+  run_job_worker_cells(job, {{1, 0}, {3, 0}}, results);
   const detection::ReplayGridReport merged = detection::merge_replay_frames(
       grid, campaigns.sources.size(), results);
 
@@ -364,8 +373,8 @@ TEST(ReplayProcess, MergeReportsMissingFramesWithoutExecuting) {
   const detection::ReplayGrid grid(tiny_replay_config());
   const std::string results = dir + "/results";
 
-  detection::run_replay_worker_cells(grid, campaigns.sources, {{1, 0}},
-                                     results);
+  run_job_worker_cells(detection::ReplayGridJob(grid, campaigns.sources),
+                       {{1, 0}}, results);
   const detection::ReplayGridReport merged = detection::merge_replay_frames(
       grid, campaigns.sources.size(), results);
 
@@ -393,8 +402,7 @@ TEST(ReplayProcess, PermanentCrashQuarantinesTheReplayCell) {
   GridCoordinatorConfig config = fast_config(dir + "/results");
   config.faults = FaultPlan::parse("crash@1:0;crash@1:1;crash@1:2");
   const detection::ReplayGridReport merged =
-      detection::ReplayGridCoordinator(grid, campaigns.sources, config)
-          .run();
+      coordinate_replay(grid, campaigns, config);
 
   ASSERT_EQ(merged.failed_cells.size(), 1u);
   EXPECT_EQ(merged.failed_cells[0].cell_index, 1u);

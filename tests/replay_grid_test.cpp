@@ -143,31 +143,49 @@ class GroupingCheckSink final : public FlowSink {
 
 TEST(StreamingReplay, PopulationsMatchTheBatchReplay) {
   const CampaignTrace campaign = record(busy_spec(52));
-  const ReplayConfig rc = small_replay(0x5ca1e);
-  const ReplayResult batch = replay_trace(campaign, rc);
+  // Both paths select bots through compose_replay: the default, a window
+  // shorter than the horizon (late joiners dropped), a cap, and none.
+  std::vector<ReplayConfig> configs(4, small_replay(0x5ca1e));
+  configs[1].window = campaign.horizon() / 2;
+  configs[2].max_onion_bots = 40;
+  configs[3].max_onion_bots = 0;
+  for (const ReplayConfig& rc : configs) {
+    SCOPED_TRACE(::testing::Message() << "window " << rc.window << ", cap "
+                                      << rc.max_onion_bots);
+    const ReplayResult batch = replay_trace(campaign, rc);
 
-  GroupingCheckSink sink;
-  const StreamPopulations pops =
-      replay_trace_streaming(campaign, rc, sink);
+    GroupingCheckSink sink;
+    const StreamPopulations pops =
+        replay_trace_streaming(campaign, rc, sink);
 
-  // Same population layout and host-id assignment as the batch path.
-  EXPECT_EQ(pops.infected, batch.trace.infected);
-  EXPECT_EQ(pops.monitored, batch.trace.hosts);
-  EXPECT_EQ(pops.known_tor_relays, batch.trace.known_tor_relays);
-  EXPECT_EQ(sink.relays_seen(), batch.trace.known_tor_relays.size());
-  EXPECT_EQ(pops.flows, sink.flows());
-  EXPECT_GT(pops.flows, 0u);
+    // Same population layout and host-id assignment as the batch path.
+    EXPECT_EQ(pops.infected, batch.trace.infected);
+    EXPECT_EQ(pops.monitored, batch.trace.hosts);
+    EXPECT_EQ(pops.known_tor_relays, batch.trace.known_tor_relays);
+    EXPECT_EQ(sink.relays_seen(), batch.trace.known_tor_relays.size());
+    EXPECT_EQ(pops.flows, sink.flows());
+    EXPECT_GT(pops.flows, 0u);
 
-  // The named family populations tile the infected set.
-  const GroundTruth batch_truth = replay_ground_truth(batch);
-  ASSERT_EQ(pops.truth.populations.size(),
-            batch_truth.populations.size());
-  for (std::size_t i = 0; i < batch_truth.populations.size(); ++i) {
-    EXPECT_EQ(pops.truth.populations[i].name,
-              batch_truth.populations[i].name);
-    EXPECT_EQ(pops.truth.populations[i].hosts,
-              batch_truth.populations[i].hosts);
+    // The named family populations tile the infected set.
+    const GroundTruth batch_truth = replay_ground_truth(batch);
+    ASSERT_EQ(pops.truth.populations.size(),
+              batch_truth.populations.size());
+    for (std::size_t i = 0; i < batch_truth.populations.size(); ++i) {
+      EXPECT_EQ(pops.truth.populations[i].name,
+                batch_truth.populations[i].name);
+      EXPECT_EQ(pops.truth.populations[i].hosts,
+                batch_truth.populations[i].hosts);
+    }
   }
+  // The inputs really select different populations.
+  const auto onion = [&](const ReplayConfig& rc) {
+    return replay_trace(campaign, rc).onion_bots.size();
+  };
+  const std::size_t all = campaign.lifetimes().size();
+  EXPECT_EQ(onion(configs[0]), all);
+  EXPECT_LT(onion(configs[1]), all) << "spec should have late joiners";
+  EXPECT_EQ(onion(configs[2]), 40u);
+  EXPECT_EQ(onion(configs[3]), 0u);
 }
 
 TEST(StreamingReplay, IsDeterministicPerSeedAndSeedSensitive) {

@@ -378,6 +378,51 @@ TEST(Replay, DeadBotsGoDark) {
   EXPECT_GT(truncated, 0u) << "spec should kill somebody";
 }
 
+TEST(Replay, EventCellRuleOnAHandBuiltTrace) {
+  // Three mapped bots (node ids 1, 2, 3 at table indices 0, 1, 2), one
+  // unmapped node (9), and every event kind the recorder emits.
+  ScenarioSpec spec;
+  spec.horizon = kHour;
+  CampaignTrace campaign;
+  campaign.on_begin(spec, {1, 2, 9});
+  const std::vector<ReplayBot> bots = {
+      {1, 100, 0, 30 * kMinute},
+      {2, 101, 0, kHour},
+      {3, 102, 10 * kMinute, 40 * kMinute},
+  };
+  const auto at = [&](SimDuration t, TraceEventKind kind, std::uint64_t a,
+                      std::uint64_t b = 0) {
+    campaign.on_event({t, kind, a, b});
+  };
+  at(1 * kMinute, TraceEventKind::SoapRound, 0);     // no capture yet
+  at(2 * kMinute, TraceEventKind::Peering, 1, 2);    // both ends
+  at(3 * kMinute, TraceEventKind::HealPeering, 2, 1);  // both ends
+  at(4 * kMinute, TraceEventKind::Peering, 1, 3);    // 3 not yet born
+  at(5 * kMinute, TraceEventKind::Peering, 2, 9);    // 9 is unmapped
+  at(6 * kMinute, TraceEventKind::SoapCapture, 2);
+  at(7 * kMinute, TraceEventKind::SoapRound, 0);     // at the captive
+  at(8 * kMinute, TraceEventKind::WaveStart, 1);
+  at(9 * kMinute, TraceEventKind::AdaptiveRefresh, 1);
+  at(10 * kMinute, TraceEventKind::Join, 3);
+  at(10 * kMinute, TraceEventKind::Peering, 3, 2);   // birth is inclusive
+  at(20 * kMinute, TraceEventKind::Takedown, 9);
+  at(30 * kMinute, TraceEventKind::Leave, 1);
+  at(30 * kMinute, TraceEventKind::HealPeering, 1, 3);  // death exclusive
+  at(45 * kMinute, TraceEventKind::Peering, 3, 2);   // 3 already dead
+
+  std::vector<std::pair<std::size_t, SimTime>> cells;
+  for_each_event_cell(campaign, bots, [&](std::size_t bot, SimTime t) {
+    cells.emplace_back(bot, t);
+  });
+  const std::vector<std::pair<std::size_t, SimTime>> expected = {
+      {0, 2 * kMinute},  {1, 2 * kMinute},  {1, 3 * kMinute},
+      {0, 3 * kMinute},  {0, 4 * kMinute},  {1, 5 * kMinute},
+      {1, 7 * kMinute},  {2, 10 * kMinute}, {1, 10 * kMinute},
+      {2, 30 * kMinute}, {1, 45 * kMinute},
+  };
+  EXPECT_EQ(cells, expected);
+}
+
 // ====================================================================
 // Detector sanity on replayed traces (the paper's Section II/VI table)
 // ====================================================================

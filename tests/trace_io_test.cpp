@@ -9,6 +9,7 @@
 // produces a byte-identical TrafficTrace.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -248,6 +249,39 @@ TEST(TraceIo, EverySingleByteCorruptionIsRejected) {
 
   std::remove(path.c_str());
   std::remove(flip_path.c_str());
+}
+
+TEST(TraceIo, HostileHeaderCountsAreWireErrorsAtOpen) {
+  // A header whose digest is valid but whose declared counts overrun
+  // the payload must fail at open as a WireError, not as a giant
+  // allocation. Offsets from the end of a header with no attacks, no
+  // waves and no initial nodes: the node count is the last word; the
+  // spec ends with the wave count and then defense (5 words) and metrics
+  // (3 words); waves.start separates the wave count from the attack
+  // count.
+  ScenarioSpec spec = small_spec(34);
+  spec.attacks.clear();
+  const Bytes payload = serialize(TraceHeader{spec, {}});
+  const std::size_t node_count = payload.size() - 8;
+  const std::size_t wave_count = node_count - 9 * 8;
+  const std::size_t attack_count = wave_count - 2 * 8;
+  const Bytes footer = wire::frame(kFooterMagic, serialize(TraceFooter{}));
+  const std::string path = temp_path("trace_hostile_header.otrace");
+  for (const std::size_t offset : {node_count, wave_count, attack_count}) {
+    for (const std::uint64_t count :
+         {std::uint64_t{1} << 40, ~std::uint64_t{0}}) {
+      Bytes doctored = payload;
+      const Bytes word = be64(count);
+      std::copy(word.begin(), word.end(),
+                doctored.begin() + static_cast<std::ptrdiff_t>(offset));
+      Bytes file = wire::frame(kHeaderMagic, doctored);
+      file.insert(file.end(), footer.begin(), footer.end());
+      write_file(path, BytesView(file));
+      EXPECT_THROW(TraceReader{path}, wire::WireError)
+          << "count " << count << " at header offset " << offset;
+    }
+  }
+  std::remove(path.c_str());
 }
 
 // ====================================================================

@@ -7,6 +7,7 @@
 // but can never reach a fingerprint.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 
 #include "scenario/runner.hpp"
@@ -310,6 +311,97 @@ TEST(Wire, ReplayInformationalFieldsNeverReachTheFingerprint) {
   EXPECT_NE(wire::encode_replay_cell(fast), wire::encode_replay_cell(slow));
   EXPECT_EQ(detection::combine_replay_points(fast.points),
             detection::combine_replay_points(slow.points));
+}
+
+// ====================================================================
+// Hostile declared counts: a frame with a *valid* digest whose payload
+// declares more elements than its bytes could hold must fail as a
+// WireError, never as std::bad_alloc / std::length_error from a reserve.
+// ====================================================================
+
+/// `payload` with the u64 word at `offset` replaced by `count`.
+Bytes with_count(Bytes payload, std::size_t offset, std::uint64_t count) {
+  const Bytes word = be64(count);
+  std::copy(word.begin(), word.end(),
+            payload.begin() + static_cast<std::ptrdiff_t>(offset));
+  return payload;
+}
+
+/// Re-digests the doctored payload, so the decoder — not the integrity
+/// check — is what must reject it, at both a 2^40 and a 2^64-1 count.
+template <typename Decode>
+void expect_hostile_count_rejected(std::uint64_t magic, const Bytes& payload,
+                                   std::size_t offset, Decode decode) {
+  for (const std::uint64_t count : {std::uint64_t{1} << 40, ~std::uint64_t{0}}) {
+    const Bytes framed = wire::frame(magic, with_count(payload, offset, count));
+    EXPECT_THROW(decode(framed), wire::WireError)
+        << "count " << count << " at payload offset " << offset;
+  }
+}
+
+TEST(Wire, HostileCountsInCellResultFramesAreWireErrors) {
+  // Tail after the series: three counters, events_executed, wall_seconds.
+  constexpr std::size_t kTail = 5 * 8;
+  CellResult cell = sample_cell(3);
+  cell.series.clear();
+  Bytes payload = wire::serialize(cell);
+  expect_hostile_count_rejected(wire::kCellResultMagic, payload,
+                                payload.size() - kTail - 8,
+                                wire::decode_cell_result);
+  // One snapshot with an empty histogram and no waves: its last word is
+  // the histogram's bin count.
+  cell.series = {sample_snapshot(1, false)};
+  cell.series[0].degree_histogram.clear();
+  payload = wire::serialize(cell);
+  expect_hostile_count_rejected(wire::kCellResultMagic, payload,
+                                payload.size() - kTail - 8,
+                                wire::decode_cell_result);
+  // One wave: the snapshot ends with the wave count and its one value.
+  cell.series[0].wave_takedowns = {5};
+  payload = wire::serialize(cell);
+  expect_hostile_count_rejected(wire::kCellResultMagic, payload,
+                                payload.size() - kTail - 16,
+                                wire::decode_cell_result);
+}
+
+TEST(Wire, HostileCountsInGridReportFramesAreWireErrors) {
+  GridReport report = sample_report();
+  report.cells.clear();
+  report.failed_cells.clear();
+  const Bytes payload = wire::serialize(report);
+  // Payload opens with the cell count, then the failed-cell count.
+  expect_hostile_count_rejected(wire::kGridReportMagic, payload, 0,
+                                wire::decode_grid_report);
+  expect_hostile_count_rejected(wire::kGridReportMagic, payload, 8,
+                                wire::decode_grid_report);
+}
+
+TEST(Wire, HostileCountsInReplayCellFramesAreWireErrors) {
+  detection::ReplayGridCell cell = sample_replay_cell(0);
+  cell.points.clear();
+  Bytes payload = wire::serialize(cell);
+  // cell_index, campaign, replay_seed, then the point count.
+  expect_hostile_count_rejected(wire::kReplayCellMagic, payload, 24,
+                                wire::decode_replay_cell);
+  // One point with no families: its last word is the family count, just
+  // before the trailing wall_seconds.
+  cell.points = {sample_point(0)};
+  cell.points[0].families.clear();
+  payload = wire::serialize(cell);
+  expect_hostile_count_rejected(wire::kReplayCellMagic, payload,
+                                payload.size() - 16, wire::decode_replay_cell);
+}
+
+TEST(Wire, HostileCountsInReplayReportFramesAreWireErrors) {
+  detection::ReplayGridReport report = sample_replay_report();
+  report.points.clear();
+  report.failed_cells.clear();
+  const Bytes payload = wire::serialize(report);
+  // Payload opens with the point count, then the failed-cell count.
+  expect_hostile_count_rejected(wire::kReplayReportMagic, payload, 0,
+                                wire::decode_replay_report);
+  expect_hostile_count_rejected(wire::kReplayReportMagic, payload, 8,
+                                wire::decode_replay_report);
 }
 
 TEST(Wire, CombinedFingerprintSkipsFailedSlots) {

@@ -209,6 +209,21 @@ int run_record_trace(const gridcli::Options& options) {
   return 0;
 }
 
+/// --worker for either grid kind: every --cells index must name a cell
+/// of `job`; each assigned cell lands as one atomically published frame.
+int run_worker(const CellJob& job, const gridcli::Options& options) {
+  for (const CellAssignment& a : options.cells)
+    if (a.cell_index >= job.size())
+      throw gridcli::CliError("--cells: cell " +
+                              std::to_string(a.cell_index) + " of a " +
+                              std::to_string(job.size()) + "-cell grid");
+  run_job_worker_cells(job, options.cells, options.results_dir,
+                       options.config.faults);
+  std::printf("wrote %zu cell frame(s) into %s\n", options.cells.size(),
+              options.results_dir.c_str());
+  return 0;
+}
+
 int run_replay_mode(const gridcli::Options& options) {
   detection::ReplayGridConfig grid_config;
   if (!options.replay_seeds.empty())
@@ -233,29 +248,14 @@ int run_replay_mode(const gridcli::Options& options) {
     readers.push_back(std::make_unique<trace_io::TraceReader>(path));
     campaigns.push_back(readers.back().get());
   }
-  const std::size_t cell_total = grid.cell_count(campaigns.size());
+  detection::ReplayGridJob job(grid, campaigns);
+  if (options.role == gridcli::Role::kWorker) return run_worker(job, options);
 
-  if (options.role == gridcli::Role::kWorker) {
-    for (const CellAssignment& a : options.cells)
-      if (a.cell_index >= cell_total)
-        throw gridcli::CliError("--cells: cell " +
-                                std::to_string(a.cell_index) + " of a " +
-                                std::to_string(cell_total) +
-                                "-cell replay grid");
-    detection::run_replay_worker_cells(grid, campaigns, options.cells,
-                                       options.results_dir,
-                                       options.config.faults);
-    std::printf("wrote %zu replay cell frame(s) into %s\n",
-                options.cells.size(), options.results_dir.c_str());
-    return 0;
-  }
-
-  detection::ReplayGridCoordinator coordinator(grid, campaigns,
-                                               options.config);
-  const detection::ReplayGridReport report = coordinator.run();
+  const detection::ReplayGridReport report =
+      job.take_report(ProcessCellCoordinator(job, options.config).run());
   write_file_atomic(options.results_dir + "/replay_report.frame",
                     wire::encode_replay_report(report));
-  print_replay_report(report, cell_total);
+  print_replay_report(report, job.size());
   return report.failed_cells.empty() ? 0 : 1;
 }
 
@@ -289,22 +289,11 @@ int run(const gridcli::Options& options) {
   if (options.replay_grid) return run_replay_mode(options);
 
   const CampaignGrid grid = named_grid(options.grid_name);
+  CampaignCellJob job(grid);
+  if (options.role == gridcli::Role::kWorker) return run_worker(job, options);
 
-  if (options.role == gridcli::Role::kWorker) {
-    for (const CellAssignment& a : options.cells)
-      if (a.cell_index >= grid.size())
-        throw gridcli::CliError("--cells: cell " +
-                                std::to_string(a.cell_index) + " of a " +
-                                std::to_string(grid.size()) + "-cell grid");
-    run_worker_cells(grid, options.cells, options.results_dir,
-                     options.config.faults);
-    std::printf("wrote %zu cell frame(s) into %s\n", options.cells.size(),
-                options.results_dir.c_str());
-    return 0;
-  }
-
-  GridCoordinator coordinator(grid, options.config);
-  const GridReport report = coordinator.run();
+  const GridReport report =
+      job.take_report(ProcessCellCoordinator(job, options.config).run());
   // The merged report is itself a resumable artifact: decode it later
   // with --show-report (or any wire consumer) without re-running.
   write_file_atomic(options.results_dir + "/grid_report.frame",
