@@ -74,7 +74,6 @@ struct RunResult {
   std::string cadence;
   std::size_t snapshots = 0;
   std::size_t events = 0;
-  std::uint64_t rebuilds = 0;
   double wall_seconds = 0.0;
   std::string fingerprint;
 };
@@ -90,7 +89,6 @@ RunResult run_campaign(const char* cadence, const ScenarioSpec& spec) {
       std::chrono::duration<double>(Clock::now() - start).count();
   result.snapshots = sink.count();
   result.events = engine.events_executed();
-  result.rebuilds = engine.tracker().rebuilds();
   result.fingerprint = sink.hex_digest();
   return result;
 }
@@ -102,13 +100,11 @@ void write_run(std::FILE* out, const RunResult& r, bool last) {
                "      \"snapshots\": %zu,\n"
                "      \"events\": %zu,\n"
                "      \"events_per_second\": %.0f,\n"
-               "      \"component_rebuilds\": %llu,\n"
                "      \"wall_seconds\": %.4f,\n"
                "      \"fingerprint\": \"%s\"\n"
                "    }%s\n",
                r.cadence.c_str(), r.snapshots, r.events,
                static_cast<double>(r.events) / r.wall_seconds,
-               static_cast<unsigned long long>(r.rebuilds),
                r.wall_seconds, r.fingerprint.c_str(), last ? "" : ",");
 }
 
@@ -175,13 +171,11 @@ int main(int argc, char** argv) {
                  "      \"sweep_baseline\": %.2f,\n"
                  "      \"incremental_growth_window\": %.3f,\n"
                  "      \"dynamic_deletion_window\": %.3f,\n"
-                 "      \"rebuild_deletion_window\": %.2f,\n"
                  "      \"speedup_growth_vs_sweep\": %.1f,\n"
                  "      \"speedup_deletion_vs_sweep\": %.1f\n"
                  "    }%s\n",
                  costs[i].nodes, costs[i].sweep_us,
                  costs[i].incremental_us, costs[i].deletion_us,
-                 costs[i].rebuild_us,
                  costs[i].sweep_us / costs[i].incremental_us,
                  costs[i].sweep_us / costs[i].deletion_us,
                  i + 1 == kCostRows ? "" : ",");
@@ -192,20 +186,17 @@ int main(int argc, char** argv) {
   std::printf(
       "wrote %s\n"
       "  sparse_300s: %zu snapshots, %.3fs wall, %zu events\n"
-      "  dense_1s:    %zu snapshots, %.3fs wall, %zu events, %llu rebuilds\n"
-      "  leave_heavy_500k_1s: %zu snapshots, %.3fs wall, %zu events, "
-      "%llu rebuilds\n",
+      "  dense_1s:    %zu snapshots, %.3fs wall, %zu events\n"
+      "  leave_heavy_500k_1s: %zu snapshots, %.3fs wall, %zu events\n",
       path, sparse.snapshots, sparse.wall_seconds, sparse.events,
-      dense.snapshots, dense.wall_seconds, dense.events,
-      static_cast<unsigned long long>(dense.rebuilds), scale.snapshots,
-      scale.wall_seconds, scale.events,
-      static_cast<unsigned long long>(scale.rebuilds));
+      dense.snapshots, dense.wall_seconds, dense.events, scale.snapshots,
+      scale.wall_seconds, scale.events);
   for (const SnapshotCosts& c : costs)
     std::printf(
         "  snapshot us @%zu: sweep %.1f, growth %.2f (%.0fx), deletion "
-        "%.2f (%.0fx), rebuild %.1f\n",
+        "%.2f (%.0fx)\n",
         c.nodes, c.sweep_us, c.incremental_us,
         c.sweep_us / c.incremental_us, c.deletion_us,
-        c.sweep_us / c.deletion_us, c.rebuild_us);
+        c.sweep_us / c.deletion_us);
   return 0;
 }

@@ -4,38 +4,13 @@
 #include <chrono>
 #include <utility>
 
-#include "common/check.hpp"
 #include "common/parallel.hpp"
 #include "crypto/sha256.hpp"
 #include "detection/traffic.hpp"
 
 namespace onion::detection {
 
-namespace {
-
 using scenario::TraceSource;
-
-std::string fmt(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%g", v);
-  return buf;
-}
-
-/// Streams one host's flows from a scratch trace. Grouping is by
-/// ascending source id (std::map), so the feed order is deterministic
-/// regardless of emission interleaving.
-void feed_grouped(const TrafficTrace& scratch, FlowSink& sink,
-                  std::uint64_t& flows) {
-  std::map<HostId, std::vector<const FlowRecord*>> by_src;
-  for (const FlowRecord& f : scratch.flows) by_src[f.src].push_back(&f);
-  for (const auto& [src, records] : by_src) {
-    for (const FlowRecord* f : records) sink.on_flow(*f);
-    flows += records.size();
-    sink.on_host_done(src);
-  }
-}
-
-}  // namespace
 
 StreamPopulations replay_trace_streaming(const TraceSource& campaign,
                                          const ReplayConfig& config,
@@ -45,8 +20,7 @@ StreamPopulations replay_trace_streaming(const TraceSource& campaign,
   // materialized is the campaign population's capture below.
   ReplayComposition c = compose_replay(campaign, config);
   StreamPopulations out;
-  sink.on_relays(c.result.trace.known_tor_relays);
-  feed_grouped(c.result.trace, sink, out.flows);
+  out.flows = feed_trace(c.result.trace, sink);
 
   // Per-bot cell times up front: bounded by campaign activity, never by
   // the churn-dominated event count.
@@ -90,83 +64,6 @@ StreamPopulations replay_trace_streaming(const TraceSource& campaign,
                        out.infected.end());
   std::sort(out.monitored.begin(), out.monitored.end());
   return out;
-}
-
-void feed_trace(const TrafficTrace& trace, FlowSink& sink) {
-  sink.on_relays(trace.known_tor_relays);
-  std::uint64_t flows = 0;
-  feed_grouped(trace, sink, flows);
-}
-
-FlowScorer::FlowScorer(FlowScorerConfig config)
-    : config_(std::move(config)),
-      beacon_sets_(config_.beacon_thresholds.size()),
-      tor_sets_(config_.tor_min_flows.size()) {}
-
-void FlowScorer::on_relays(const std::vector<HostId>& relays) {
-  relays_ = std::set<HostId>(relays.begin(), relays.end());
-}
-
-void FlowScorer::on_flow(const FlowRecord& f) {
-  ONION_EXPECTS(!finished_);
-  Series& s = channels_[{f.src, f.dst}];
-  s.sizes.push_back(static_cast<double>(f.bytes));
-  s.times.push_back(static_cast<double>(f.at));
-  ++flows_;
-}
-
-void FlowScorer::on_host_done(HostId host) { finalize_host(host); }
-
-void FlowScorer::finalize_host(HostId host) {
-  std::size_t tor_flows = 0;
-  auto it = channels_.lower_bound({host, 0});
-  while (it != channels_.end() && it->first.first == host) {
-    Series& s = it->second;
-    const std::size_t count = s.sizes.size();
-    // Same arithmetic as channel_features: sizes CV as emitted, gaps CV
-    // over the sorted timestamps — bitwise-equal to the batch detector.
-    const double size_cv = coefficient_of_variation(s.sizes);
-    std::sort(s.times.begin(), s.times.end());
-    std::vector<double> gaps;
-    gaps.reserve(count > 0 ? count - 1 : 0);
-    for (std::size_t i = 1; i < s.times.size(); ++i)
-      gaps.push_back(s.times[i] - s.times[i - 1]);
-    const double gap_cv = coefficient_of_variation(gaps);
-    for (std::size_t k = 0; k < config_.beacon_thresholds.size(); ++k) {
-      const FlowDetectorConfig& c = config_.beacon_thresholds[k];
-      if (count >= c.min_flows && size_cv < c.size_cv_threshold &&
-          gap_cv < c.gap_cv_threshold)
-        beacon_sets_[k].insert(host);
-    }
-    if (relays_.count(it->first.second) > 0) tor_flows += count;
-    it = channels_.erase(it);
-  }
-  for (std::size_t k = 0; k < config_.tor_min_flows.size(); ++k)
-    if (tor_flows >= config_.tor_min_flows[k] && tor_flows > 0)
-      tor_sets_[k].insert(host);
-}
-
-void FlowScorer::finish() {
-  ONION_EXPECTS(!finished_);
-  while (!channels_.empty())
-    finalize_host(channels_.begin()->first.first);
-  beacon_flagged_.reserve(beacon_sets_.size());
-  for (const std::set<HostId>& s : beacon_sets_)
-    beacon_flagged_.emplace_back(s.begin(), s.end());
-  tor_flagged_.reserve(tor_sets_.size());
-  for (const std::set<HostId>& s : tor_sets_)
-    tor_flagged_.emplace_back(s.begin(), s.end());
-  finished_ = true;
-}
-
-const std::vector<std::vector<HostId>>& FlowScorer::beacon_flagged() const {
-  ONION_EXPECTS(finished_);
-  return beacon_flagged_;
-}
-
-const std::vector<std::vector<HostId>>& FlowScorer::tor_flagged() const {
-  ONION_EXPECTS(finished_);
-  return tor_flagged_;
 }
 
 Bytes serialize(const ReplayGridPoint& p) {
@@ -218,94 +115,45 @@ std::string combine_replay_points(
 }
 
 ReplayGrid::ReplayGrid(ReplayGridConfig config)
-    : config_(std::move(config)) {}
-
-std::size_t ReplayGrid::points_per_cell() const {
-  return config_.flow_size_cv.size() * config_.flow_gap_cv.size() +
-         config_.tor_min_flows.size();
-}
+    : config_(std::move(config)),
+      flow_grid_(config_.flow_size_cv, config_.flow_gap_cv,
+                 config_.flow_min_flows, config_.tor_min_flows) {}
 
 ReplayGridCell ReplayGrid::run_cell(const TraceSource& campaign,
                                     std::uint64_t cell_index) const {
-  const std::size_t seeds = config_.replay_seeds.size();
   ReplayGridCell cell;
   cell.cell_index = cell_index;
-  cell.campaign = cell_index / seeds;
-  cell.replay_seed = config_.replay_seeds[cell_index % seeds];
+  cell.campaign = cell_campaign(cell_index);
+  cell.replay_seed = cell_seed(cell_index);
   const auto start = std::chrono::steady_clock::now();
-
-  FlowScorerConfig scorer_config;
-  for (const double size_cv : config_.flow_size_cv)
-    for (const double gap_cv : config_.flow_gap_cv) {
-      FlowDetectorConfig c;
-      c.min_flows = config_.flow_min_flows;
-      c.size_cv_threshold = size_cv;
-      c.gap_cv_threshold = gap_cv;
-      scorer_config.beacon_thresholds.push_back(c);
-    }
-  scorer_config.tor_min_flows = config_.tor_min_flows;
 
   ReplayConfig replay = config_.replay;
   replay.seed = cell.replay_seed;
-  FlowScorer scorer(scorer_config);
-  const StreamPopulations pops =
-      replay_trace_streaming(campaign, replay, scorer);
+  FlowScorer scorer(flow_grid_.thresholds);
+  StreamPopulations pops = replay_trace_streaming(campaign, replay, scorer);
   scorer.finish();
 
-  const std::set<HostId> infected(pops.infected.begin(),
-                                  pops.infected.end());
-  const std::set<HostId> monitored(pops.monitored.begin(),
-                                   pops.monitored.end());
-  const std::size_t benign = pops.monitored.size() - pops.infected.size();
-  const auto score = [&](std::string detector, std::string params,
-                         const std::vector<HostId>& flagged) {
+  const ScoringTruth truth(std::move(pops.infected),
+                           std::move(pops.monitored));
+  cell.points.reserve(points_per_cell());
+  for (std::size_t k = 0; k < flow_grid_.cells.size(); ++k) {
+    RocPoint s = score_point(flow_grid_.cells[k].detector,
+                             flow_grid_.cells[k].params, scorer.flagged()[k],
+                             truth, pops.truth);
     ReplayGridPoint p;
     p.campaign = static_cast<std::size_t>(cell.campaign);
     p.replay_seed = cell.replay_seed;
-    p.detector = std::move(detector);
-    p.params = std::move(params);
+    p.detector = std::move(s.detector);
+    p.params = std::move(s.params);
     p.flows = pops.flows;
-    p.flagged = flagged.size();
-    for (const HostId h : flagged) {
-      if (infected.count(h) > 0)
-        ++p.true_positives;
-      else if (monitored.count(h) > 0)
-        ++p.false_positives;
-    }
-    p.tpr = infected.empty()
-                ? 0.0
-                : static_cast<double>(p.true_positives) /
-                      static_cast<double>(infected.size());
-    p.fpr = benign == 0 ? 0.0
-                        : static_cast<double>(p.false_positives) /
-                              static_cast<double>(benign);
-    p.families.reserve(pops.truth.populations.size());
-    for (const GroundTruth::Population& pop : pops.truth.populations) {
-      RocFamilyCount f;
-      f.family = pop.name;
-      f.population = pop.hosts.size();
-      // Both sides ascending: membership via binary search.
-      for (const HostId h : pop.hosts)
-        if (std::binary_search(flagged.begin(), flagged.end(), h))
-          ++f.flagged;
-      p.families.push_back(std::move(f));
-    }
-    return p;
-  };
-
-  cell.points.reserve(points_per_cell());
-  for (std::size_t k = 0; k < scorer_config.beacon_thresholds.size(); ++k) {
-    const FlowDetectorConfig& c = scorer_config.beacon_thresholds[k];
-    cell.points.push_back(score("flow-beacon",
-                                "size_cv=" + fmt(c.size_cv_threshold) +
-                                    ",gap_cv=" + fmt(c.gap_cv_threshold),
-                                scorer.beacon_flagged()[k]));
+    p.flagged = s.flagged;
+    p.true_positives = s.true_positives;
+    p.false_positives = s.false_positives;
+    p.tpr = s.tpr;
+    p.fpr = s.fpr;
+    p.families = std::move(s.families);
+    cell.points.push_back(std::move(p));
   }
-  for (std::size_t k = 0; k < scorer_config.tor_min_flows.size(); ++k)
-    cell.points.push_back(score(
-        "tor-flagger",
-        "min_flows=" + std::to_string(scorer_config.tor_min_flows[k]),
-        scorer.tor_flagged()[k]));
   cell.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -325,8 +173,7 @@ ReplayGridReport ReplayGrid::run(
         // Points land at the cell's grid slice, so the sharding cannot
         // leak into the report — and the process transport reruns the
         // identical run_cell, so both paths agree by construction.
-        ReplayGridCell result = run_cell(
-            *campaigns[cell / config_.replay_seeds.size()], cell);
+        ReplayGridCell result = run_cell(*campaigns[cell_campaign(cell)], cell);
         for (std::size_t k = 0; k < ppc; ++k)
           report.points[cell * ppc + k] = std::move(result.points[k]);
       });

@@ -4,9 +4,13 @@
 // its TrafficTrace (the synthesizer here feeds flows host-by-host into
 // a streaming scorer and releases each host as soon as it is scored).
 //
-// Three pieces:
+// Two pieces live here. The flow rule does not: the one-pass FlowScorer
+// (a FlowSink) sits next to the batch flow detector
+// (detection/flow_detector.hpp), and the flow-beacon × tor-flagger
+// operating points (FlowGrid) and the operating-point scorer
+// (score_point) live in detection/roc.hpp, shared with RocSweep.
 //
-//   FlowSink / replay_trace_streaming
+//   replay_trace_streaming
 //     The O(window) twin of detection::replay_trace: flows stream into a
 //     sink grouped by source host instead of accumulating in a trace.
 //     Peak memory is one host's flows plus the population tables —
@@ -19,13 +23,6 @@
 //     path per bot (so it never holds more than one bot's flows), and
 //     goldens pin both orders. Equal (campaign, config) reproduce the
 //     streamed capture — and every grid fingerprint — exactly.
-//
-//   FlowScorer
-//     A FlowSink evaluating every configured flow-beacon threshold and
-//     tor-flagger threshold in one pass. Per-channel features use the
-//     exported coefficient_of_variation, so its verdicts are *equal* —
-//     not approximately — to detect_beacons / detect_tor_users fed the
-//     same flows (tests/replay_grid_test.cpp asserts set equality).
 //
 //   ReplayGrid
 //     Shards campaign × replay-seed cells across common/parallel.hpp
@@ -40,8 +37,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -51,18 +46,6 @@
 #include "scenario/trace.hpp"
 
 namespace onion::detection {
-
-/// Receives a streamed capture. Flows arrive grouped by source host:
-/// all of a host's flows, then on_host_done(host) — after which no more
-/// flows for that host may arrive. on_relays announces the public Tor
-/// relay registry before any flow.
-class FlowSink {
- public:
-  virtual ~FlowSink() = default;
-  virtual void on_relays(const std::vector<HostId>& relays) = 0;
-  virtual void on_flow(const FlowRecord& f) = 0;
-  virtual void on_host_done(HostId host) = 0;
-};
 
 /// The per-population host tables a streamed replay produces instead of
 /// a TrafficTrace: everything the grid needs to score verdicts, nothing
@@ -83,60 +66,6 @@ struct StreamPopulations {
 StreamPopulations replay_trace_streaming(
     const scenario::TraceSource& campaign, const ReplayConfig& config,
     FlowSink& sink);
-
-/// Feeds an already-materialized trace into a sink, grouping flows by
-/// source host (ascending) — the bridge differential tests use to run
-/// the streaming scorer over a batch capture.
-void feed_trace(const TrafficTrace& trace, FlowSink& sink);
-
-/// Every threshold the one-pass scorer evaluates.
-struct FlowScorerConfig {
-  /// Flow-beacon operating points (min_flows/size_cv/gap_cv each).
-  std::vector<FlowDetectorConfig> beacon_thresholds;
-  /// Tor-flagger min-flow thresholds.
-  std::vector<std::size_t> tor_min_flows;
-};
-
-/// One-pass streaming scorer: buffers per-channel size/time series only
-/// for hosts not yet finalized, and collapses each host to verdicts at
-/// its on_host_done. Call finish() after the stream ends (it finalizes
-/// any hosts fed without an on_host_done, so raw ungrouped traces work
-/// too); flagged sets are valid afterwards, sorted ascending like the
-/// batch detectors'.
-class FlowScorer final : public FlowSink {
- public:
-  explicit FlowScorer(FlowScorerConfig config);
-
-  void on_relays(const std::vector<HostId>& relays) override;
-  void on_flow(const FlowRecord& f) override;
-  void on_host_done(HostId host) override;
-  void finish();
-
-  std::uint64_t flows_scored() const { return flows_; }
-  /// Flagged hosts per beacon threshold (index-parallel with the
-  /// config's beacon_thresholds), ascending.
-  const std::vector<std::vector<HostId>>& beacon_flagged() const;
-  /// Flagged hosts per tor min-flows threshold, ascending.
-  const std::vector<std::vector<HostId>>& tor_flagged() const;
-
- private:
-  struct Series {
-    std::vector<double> sizes;
-    std::vector<double> times;
-  };
-  void finalize_host(HostId host);
-
-  FlowScorerConfig config_;
-  std::set<HostId> relays_;
-  /// Open (not yet finalized) hosts' channels, keyed (src, dst).
-  std::map<std::pair<HostId, HostId>, Series> channels_;
-  std::uint64_t flows_ = 0;
-  bool finished_ = false;
-  std::vector<std::set<HostId>> beacon_sets_;
-  std::vector<std::set<HostId>> tor_sets_;
-  std::vector<std::vector<HostId>> beacon_flagged_;
-  std::vector<std::vector<HostId>> tor_flagged_;
-};
 
 /// The replay-level grid: which campaigns' recorded traces to sweep is
 /// run()'s argument; this config fixes the replay knobs, the seed axis,
@@ -228,16 +157,23 @@ class ReplayGrid {
   const ReplayGridConfig& config() const { return config_; }
 
   /// Points every run produces per (campaign, seed) cell.
-  std::size_t points_per_cell() const;
+  std::size_t points_per_cell() const { return flow_grid_.cells.size(); }
   /// Cells a run over `campaign_count` campaigns sweeps (campaign-major
   /// × replay seed).
   std::size_t cell_count(std::size_t campaign_count) const {
     return campaign_count * config_.replay_seeds.size();
   }
+  /// The cell layout: cell_index → (campaign index, replay seed).
+  std::uint64_t cell_campaign(std::uint64_t cell_index) const {
+    return cell_index / config_.replay_seeds.size();
+  }
+  std::uint64_t cell_seed(std::uint64_t cell_index) const {
+    return config_.replay_seeds[cell_index % config_.replay_seeds.size()];
+  }
 
   /// Runs one grid cell: streams `campaign`'s replay (the trace source
   /// matching the cell's campaign index) once through a FlowScorer and
-  /// scores every configured threshold. This is the exact computation
+  /// scores every FlowGrid cell. This is the exact computation
   /// run() shards in-process and replay workers run out-of-process, so
   /// the per-cell points — and any fingerprint over them — agree by
   /// construction.
@@ -253,6 +189,7 @@ class ReplayGrid {
 
  private:
   ReplayGridConfig config_;
+  FlowGrid flow_grid_;
 };
 
 }  // namespace onion::detection

@@ -43,15 +43,12 @@ std::string ReplayGridJob::frame_filename(std::uint64_t cell_index) const {
 }
 
 std::string ReplayGridJob::cell_label(std::uint64_t cell_index) const {
-  const std::size_t seeds = grid_.config().replay_seeds.size();
-  return "campaign=" + std::to_string(cell_index / seeds) +
-         ",replay_seed=" +
-         std::to_string(grid_.config().replay_seeds[cell_index % seeds]);
+  return "campaign=" + std::to_string(grid_.cell_campaign(cell_index)) +
+         ",replay_seed=" + std::to_string(grid_.cell_seed(cell_index));
 }
 
 std::uint64_t ReplayGridJob::cell_seed(std::uint64_t cell_index) const {
-  const std::size_t seeds = grid_.config().replay_seeds.size();
-  return grid_.config().replay_seeds[cell_index % seeds];
+  return grid_.cell_seed(cell_index);
 }
 
 Bytes ReplayGridJob::run_cell(std::uint64_t cell_index) const {
@@ -60,19 +57,16 @@ Bytes ReplayGridJob::run_cell(std::uint64_t cell_index) const {
   ONION_EXPECTS_MSG(!campaigns_.empty(),
                     "merge-only ReplayGridJob asked to run cell "
                         << cell_index);
-  const std::size_t seeds = grid_.config().replay_seeds.size();
-  const ReplayGridCell cell =
-      grid_.run_cell(*campaigns_[cell_index / seeds], cell_index);
+  const ReplayGridCell cell = grid_.run_cell(
+      *campaigns_[grid_.cell_campaign(cell_index)], cell_index);
   return scenario::wire::encode_replay_cell(cell);
 }
 
 bool ReplayGridJob::accept_frame(std::uint64_t cell_index, BytesView framed,
                                  std::string& error) {
   ReplayGridCell loaded = scenario::wire::decode_replay_cell(framed);
-  const std::size_t seeds = grid_.config().replay_seeds.size();
-  const std::uint64_t campaign = cell_index / seeds;
-  const std::uint64_t replay_seed =
-      grid_.config().replay_seeds[cell_index % seeds];
+  const std::uint64_t campaign = grid_.cell_campaign(cell_index);
+  const std::uint64_t replay_seed = grid_.cell_seed(cell_index);
   if (loaded.cell_index != cell_index || loaded.campaign != campaign ||
       loaded.replay_seed != replay_seed ||
       loaded.points.size() != grid_.points_per_cell()) {

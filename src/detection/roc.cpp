@@ -1,16 +1,14 @@
 #include "detection/roc.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <unordered_set>
 
 #include "common/parallel.hpp"
 #include "crypto/sha256.hpp"
 #include "detection/dga_detector.hpp"
 #include "detection/fastflux_detector.hpp"
-#include "detection/flow_detector.hpp"
 #include "detection/p2p_detector.hpp"
-#include "detection/tor_flagger.hpp"
 
 namespace onion::detection {
 
@@ -26,42 +24,37 @@ std::string fmt(double v) {
 
 std::string fmt(std::size_t v) { return std::to_string(v); }
 
-/// Ground truth digested once per sweep (the 68 cells share it).
-struct TruthIndex {
-  std::unordered_set<HostId> infected;
-  std::unordered_set<HostId> monitored;
-  std::size_t benign = 0;  // monitored hosts that are not infected
+bool contains(const std::vector<HostId>& sorted, HostId h) {
+  return std::binary_search(sorted.begin(), sorted.end(), h);
+}
 
-  explicit TruthIndex(const TrafficTrace& trace)
-      : infected(trace.infected.begin(), trace.infected.end()),
-        monitored(trace.hosts.begin(), trace.hosts.end()) {
-    // Pure count over the set: the sum is iteration-order independent,
-    // and nothing ordered or fingerprinted is built from the traversal.
-    // detlint:allow(D1 order-insensitive count)
-    for (const HostId h : monitored)
-      if (infected.count(h) == 0) ++benign;
-  }
-};
+std::vector<HostId> sorted_unique(std::vector<HostId> hosts) {
+  std::sort(hosts.begin(), hosts.end());
+  hosts.erase(std::unique(hosts.begin(), hosts.end()), hosts.end());
+  return hosts;
+}
 
-/// Scores one verdict against the trace's ground truth. TPR/FPR match
-/// DetectionResult's definitions (rates over infected / benign monitored
-/// hosts); precision adds the count view the ROC CSV reports. When
-/// `families` names populations, each gets its flagged count appended —
-/// the per-family resolution rides the same detector verdict.
-RocPoint score(std::string detector, std::string params,
-               const DetectionResult& result, const TruthIndex& truth,
-               const GroundTruth& families) {
+}  // namespace
+
+ScoringTruth::ScoringTruth(std::vector<HostId> infected_hosts,
+                           std::vector<HostId> monitored_hosts)
+    : infected(sorted_unique(std::move(infected_hosts))),
+      monitored(sorted_unique(std::move(monitored_hosts))) {
+  for (const HostId h : monitored)
+    if (!contains(infected, h)) ++benign;
+}
+
+RocPoint score_point(std::string detector, std::string params,
+                     const std::vector<HostId>& flagged,
+                     const ScoringTruth& truth, const GroundTruth& families) {
   RocPoint p;
   p.detector = std::move(detector);
   p.params = std::move(params);
-  p.flagged = result.flagged.size();
-  std::unordered_set<HostId> flagged_hosts;
-  flagged_hosts.reserve(result.flagged.size());
-  for (const HostId h : result.flagged) {
-    flagged_hosts.insert(h);
-    if (truth.infected.count(h) > 0)
+  p.flagged = flagged.size();
+  for (const HostId h : flagged) {
+    if (contains(truth.infected, h))
       ++p.true_positives;
-    else if (truth.monitored.count(h) > 0)
+    else if (contains(truth.monitored, h))
       ++p.false_positives;
   }
   p.families.reserve(families.populations.size());
@@ -70,7 +63,7 @@ RocPoint score(std::string detector, std::string params,
     f.family = pop.name;
     f.population = pop.hosts.size();
     for (const HostId h : pop.hosts)
-      if (flagged_hosts.count(h) > 0) ++f.flagged;
+      if (contains(flagged, h)) ++f.flagged;
     p.families.push_back(std::move(f));
   }
   p.tpr = truth.infected.empty()
@@ -88,7 +81,23 @@ RocPoint score(std::string detector, std::string params,
   return p;
 }
 
-}  // namespace
+FlowGrid::FlowGrid(const std::vector<double>& size_cv,
+                   const std::vector<double>& gap_cv, std::size_t min_flows,
+                   const std::vector<std::size_t>& tor_min_flows) {
+  for (const double size : size_cv)
+    for (const double gap : gap_cv) {
+      FlowDetectorConfig c;
+      c.min_flows = min_flows;
+      c.size_cv_threshold = size;
+      c.gap_cv_threshold = gap;
+      thresholds.beacon_thresholds.push_back(c);
+      cells.push_back(
+          {"flow-beacon", "size_cv=" + fmt(size) + ",gap_cv=" + fmt(gap)});
+    }
+  thresholds.tor_min_flows = tor_min_flows;
+  for (const std::size_t flows : tor_min_flows)
+    cells.push_back({"tor-flagger", "min_flows=" + fmt(flows)});
+}
 
 Bytes serialize(const RocPoint& p) {
   Bytes out;
@@ -139,9 +148,13 @@ void RocReport::write_csv(std::FILE* out) const {
   }
 }
 
-RocSweep::RocSweep(RocConfig config) : config_(std::move(config)) {
+RocSweep::RocSweep(RocConfig config)
+    : config_(std::move(config)),
+      flow_grid_(config_.flow_size_cv, config_.flow_gap_cv,
+                 FlowDetectorConfig{}.min_flows, config_.tor_min_flows) {
   // Enumeration order fixes the report's row order and therefore the
-  // fingerprint: family by family, axes row-major as declared.
+  // fingerprint: family by family, axes row-major as declared (the
+  // flow-beacon and tor-flagger cells are flow_grid_'s).
   for (const double entropy : config_.dga_entropy)
     for (const double ratio : config_.dga_nxdomain) {
       DgaDetectorConfig c;
@@ -162,17 +175,7 @@ RocSweep::RocSweep(RocConfig config) : config_(std::move(config)) {
                           return detect_fastflux(t, c);
                         }});
     }
-  for (const double size_cv : config_.flow_size_cv)
-    for (const double gap_cv : config_.flow_gap_cv) {
-      FlowDetectorConfig c;
-      c.size_cv_threshold = size_cv;
-      c.gap_cv_threshold = gap_cv;
-      cells_.push_back({"flow-beacon",
-                        "size_cv=" + fmt(size_cv) + ",gap_cv=" + fmt(gap_cv),
-                        [c](const TrafficTrace& t) {
-                          return detect_beacons(t, c);
-                        }});
-    }
+  beacon_slot_ = cells_.size();
   for (const std::size_t degree : config_.p2p_degree)
     for (const double inter : config_.p2p_interconnection) {
       P2pDetectorConfig c;
@@ -183,11 +186,6 @@ RocSweep::RocSweep(RocConfig config) : config_(std::move(config)) {
                             fmt(inter),
                         [c](const TrafficTrace& t) { return detect_p2p(t, c); }});
     }
-  for (const std::size_t min_flows : config_.tor_min_flows)
-    cells_.push_back({"tor-flagger", "min_flows=" + fmt(min_flows),
-                      [min_flows](const TrafficTrace& t) {
-                        return detect_tor_users(t, min_flows);
-                      }});
 }
 
 RocReport RocSweep::run(const TrafficTrace& trace) const {
@@ -197,17 +195,40 @@ RocReport RocSweep::run(const TrafficTrace& trace) const {
 RocReport RocSweep::run(const TrafficTrace& trace,
                         const GroundTruth& truth) const {
   RocReport report;
-  report.points.resize(cells_.size());
+  report.points.resize(cell_count());
   const auto start = std::chrono::steady_clock::now();
-  const TruthIndex index(trace);
+  const ScoringTruth scoring(trace.infected, trace.hosts);
 
-  // Detectors are pure functions of the (shared, read-only) trace, and
-  // each point lands at its grid index — the sharding is invisible.
+  // Grid order: dga, flux | flow-beacon | p2p | tor-flagger.
+  const std::size_t beacons = flow_grid_.thresholds.beacon_thresholds.size();
+  const auto batch_index = [&](std::size_t i) {
+    return i < beacon_slot_ ? i : i + beacons;
+  };
+  const auto flow_index = [&](std::size_t k) {
+    return k < beacons ? beacon_slot_ + k : cells_.size() + k;
+  };
+
+  // Task 0 is the flow pass, so the batch cells overlap it. Detectors
+  // are pure functions of the (shared, read-only) trace, and each point
+  // lands at its grid index — the sharding is invisible.
+  const std::size_t pass = flow_grid_.cells.empty() ? 0 : 1;
   report.threads_used = parallel_for_index(
-      cells_.size(), config_.threads, [&](std::size_t i) {
-        const Cell& cell = cells_[i];
-        report.points[i] = score(cell.detector, cell.params,
-                                 cell.detect(trace), index, truth);
+      pass + cells_.size(), config_.threads, [&](std::size_t task) {
+        if (task < pass) {
+          FlowScorer scorer(flow_grid_.thresholds);
+          feed_trace(trace, scorer);
+          scorer.finish();
+          for (std::size_t k = 0; k < flow_grid_.cells.size(); ++k)
+            report.points[flow_index(k)] = score_point(
+                flow_grid_.cells[k].detector, flow_grid_.cells[k].params,
+                scorer.flagged()[k], scoring, truth);
+          return;
+        }
+        const Cell& cell = cells_[task - pass];
+        DetectionResult result = cell.detect(trace);
+        std::sort(result.flagged.begin(), result.flagged.end());
+        report.points[batch_index(task - pass)] = score_point(
+            cell.detector, cell.params, result.flagged, scoring, truth);
       });
 
   report.wall_seconds =

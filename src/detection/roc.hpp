@@ -13,6 +13,11 @@
 // legacy family has operating points with high TPR at near-zero FPR,
 // while for the OnionBot population no threshold of any detector
 // separates bots from the benign Tor users sharing the trace.
+//
+// It also owns what RocSweep shares with the streamed ReplayGrid
+// (detection/replay_grid.hpp): FlowGrid, the one enumeration of the
+// flow-beacon and tor-flagger operating points that a single FlowScorer
+// pass evaluates, and score_point, the one operating-point scorer.
 #pragma once
 
 #include <cstdio>
@@ -21,6 +26,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "detection/flow_detector.hpp"
 #include "detection/telemetry.hpp"
 
 namespace onion::detection {
@@ -69,6 +75,24 @@ struct GroundTruth {
   std::vector<Population> populations;
 };
 
+/// The flow-family operating points both sweeps score: flow-beacon
+/// thresholds (size_cv × gap_cv, row-major, at one min_flows), then the
+/// tor-flagger axis. An empty axis drops its family.
+struct FlowGrid {
+  struct Cell {
+    std::string detector;  // "flow-beacon" | "tor-flagger"
+    std::string params;    // canonical "key=value,..." tuple
+  };
+
+  FlowGrid(const std::vector<double>& size_cv,
+           const std::vector<double>& gap_cv, std::size_t min_flows,
+           const std::vector<std::size_t>& tor_min_flows);
+
+  /// FlowScorer::flagged() over these is index-parallel with `cells`.
+  FlowScorerConfig thresholds;
+  std::vector<Cell> cells;  // beacon cells, then tor cells
+};
+
 /// One operating point: a detector family at one threshold tuple,
 /// scored against the trace's ground truth.
 struct RocPoint {
@@ -90,6 +114,24 @@ struct RocPoint {
 /// doubles bit-cast) — the unit the sweep fingerprint hashes.
 Bytes serialize(const RocPoint& p);
 
+/// What a flagged set is scored against, built once per capture from
+/// its infected and monitored host lists.
+struct ScoringTruth {
+  ScoringTruth(std::vector<HostId> infected_hosts,
+               std::vector<HostId> monitored_hosts);
+
+  std::vector<HostId> infected;   // ascending, unique
+  std::vector<HostId> monitored;  // ascending, unique
+  std::size_t benign = 0;         // monitored hosts that are not infected
+};
+
+/// The one operating-point scorer (RocSweep and ReplayGrid): a flagged
+/// host outside the monitored set is neither TP nor FP, and a rate with
+/// no infected / benign hosts is 0. `flagged` must be ascending.
+RocPoint score_point(std::string detector, std::string params,
+                     const std::vector<HostId>& flagged,
+                     const ScoringTruth& truth, const GroundTruth& families);
+
 /// The sweep's outcome, points in grid order (family by family, axes in
 /// row-major declaration order — never completion order).
 struct RocReport {
@@ -105,12 +147,15 @@ struct RocReport {
 };
 
 /// The grid-search harness: construction enumerates the cells, run()
-/// shards them over a thread pool and scores every operating point.
+/// shards them over a thread pool and scores every operating point. All
+/// flow-beacon and tor-flagger cells come from one FlowScorer pass.
 class RocSweep {
  public:
   explicit RocSweep(RocConfig config = {});
 
-  std::size_t cell_count() const { return cells_.size(); }
+  std::size_t cell_count() const {
+    return cells_.size() + flow_grid_.cells.size();
+  }
   /// Aggregate sweep: TPR/FPR against trace.infected vs the benign rest.
   RocReport run(const TrafficTrace& trace) const;
   /// Family-resolved sweep: as above, plus per-population flagged counts
@@ -125,7 +170,11 @@ class RocSweep {
   };
 
   RocConfig config_;
+  /// Batch-detector cells: dga, flux, then p2p.
   std::vector<Cell> cells_;
+  /// How many cells_ precede the flow-beacon block in grid order.
+  std::size_t beacon_slot_ = 0;
+  FlowGrid flow_grid_;
 };
 
 }  // namespace onion::detection

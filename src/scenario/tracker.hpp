@@ -15,7 +15,7 @@
 // graph size. tests/tracker_test.cpp proves byte-equality with the
 // from-scratch sweep across randomized join/leave/takedown/SOAP
 // interleavings; bench/micro_snapshot.cpp measures the deletion-window
-// gap versus both the sweep and the retired union-find rebuild.
+// fill against the sweep.
 //
 // The tracker also keeps an order-statistics bitmap over honest alive
 // slots, so the engine can draw a uniform honest victim in O(log n)
@@ -79,10 +79,6 @@ class StructuralTracker final : public graph::MutationObserver {
   }
 
   /// --- introspection (tests and benches) -----------------------------
-  /// Full component rebuilds paid so far. Always 0 since the tracker
-  /// went fully dynamic; kept so benches and scale tests can assert the
-  /// deletion-window cliff stays dead.
-  std::uint64_t rebuilds() const { return rebuilds_; }
   /// The underlying connectivity structure (search-step counters etc.).
   const graph::DynamicConnectivity& connectivity() const { return dc_; }
 
@@ -105,7 +101,6 @@ class StructuralTracker final : public graph::MutationObserver {
   graph::DynamicConnectivity dc_;
   // Honest alive slots as a rank/select bitmap (engine victim draws).
   OrderStatSet honest_set_;
-  std::uint64_t rebuilds_ = 0;
 
   // Every mutation since attach must have been observed: fill() asserts
   // graph_.mutation_epoch() == base_epoch_ + events_seen_.

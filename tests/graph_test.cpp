@@ -261,21 +261,6 @@ TEST(UnionFindTest, NumSetsCountsTheFullUniverseIncludingDeadSlots) {
   EXPECT_EQ(uf.num_sets() - dead, 2u);  // the live-component answer
 }
 
-TEST(UnionFindTest, ResetReinitializesAndReusesStorage) {
-  UnionFind uf(4);
-  uf.unite(0, 1);
-  uf.unite(2, 3);
-  EXPECT_EQ(uf.num_sets(), 2u);
-  uf.reset(6);
-  EXPECT_EQ(uf.size(), 6u);
-  EXPECT_EQ(uf.num_sets(), 6u);
-  for (std::size_t x = 0; x < 6; ++x) EXPECT_EQ(uf.set_size(x), 1u);
-  EXPECT_FALSE(uf.same(0, 1));
-  uf.reset(2);  // shrinking works too
-  EXPECT_EQ(uf.size(), 2u);
-  EXPECT_EQ(uf.num_sets(), 2u);
-}
-
 TEST(Generators, RegularGraphHasExactDegrees) {
   Rng rng(20);
   const Graph g = random_regular(100, 6, rng);

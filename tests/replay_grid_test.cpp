@@ -1,6 +1,8 @@
-// Replay-grid tests: the streaming FlowScorer's verdicts are *equal* —
-// set equality, not approximation — to the batch flow-beacon and
-// tor-flagger detectors fed the same capture; the streamed replay is
+// Replay-grid tests: the streaming FlowScorer's verdicts — and the
+// RocSweep flow points built from them — are *equal* (set equality, not
+// approximation) to the batch flow-beacon and tor-flagger detectors fed
+// the same capture; the shared scorer counts a hand-built verdict
+// correctly; the streamed replay is
 // deterministic and O(window)-shaped (population tables match the batch
 // replay's exactly); the grid fingerprint is thread-count invariant;
 // and the family-resolved RocSweep keeps the legacy aggregate encoding
@@ -8,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <set>
 #include <string>
 #include <vector>
@@ -64,6 +67,13 @@ ReplayConfig small_replay(std::uint64_t seed) {
   return rc;
 }
 
+/// The canonical %g rendering RocSweep's params tuples use.
+std::string g(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%g", v);
+  return buf;
+}
+
 // ====================================================================
 // FlowScorer == batch detectors
 // ====================================================================
@@ -89,22 +99,142 @@ TEST(FlowScorer, MatchesBatchDetectorsOnTheSameCapture) {
 
   // Exact set equality against every batch operating point: same
   // arithmetic (shared coefficient_of_variation), same verdicts.
-  ASSERT_EQ(scorer.beacon_flagged().size(), config.beacon_thresholds.size());
+  const std::size_t beacons = config.beacon_thresholds.size();
+  ASSERT_EQ(scorer.flagged().size(), beacons + config.tor_min_flows.size());
   for (std::size_t i = 0; i < config.beacon_thresholds.size(); ++i) {
     DetectionResult batch =
         detect_beacons(replay.trace, config.beacon_thresholds[i]);
     std::sort(batch.flagged.begin(), batch.flagged.end());
-    EXPECT_EQ(scorer.beacon_flagged()[i], batch.flagged)
+    EXPECT_EQ(scorer.flagged()[i], batch.flagged)
         << "beacon threshold " << i << " diverged";
   }
-  ASSERT_EQ(scorer.tor_flagged().size(), config.tor_min_flows.size());
   for (std::size_t i = 0; i < config.tor_min_flows.size(); ++i) {
     DetectionResult batch =
         detect_tor_users(replay.trace, config.tor_min_flows[i]);
     std::sort(batch.flagged.begin(), batch.flagged.end());
-    EXPECT_EQ(scorer.tor_flagged()[i], batch.flagged)
+    EXPECT_EQ(scorer.flagged()[beacons + i], batch.flagged)
         << "tor threshold " << i << " diverged";
   }
+
+  // Second input: a family-resolved RocSweep, whose flow points all come
+  // from one FlowScorer pass, against the points scored from one batch
+  // detector call per threshold — at every thread count.
+  const GroundTruth families = replay_ground_truth(replay);
+  const ScoringTruth truth(replay.trace.infected, replay.trace.hosts);
+  const auto reference = [&](const std::string& detector,
+                             const std::string& params,
+                             DetectionResult batch) {
+    std::sort(batch.flagged.begin(), batch.flagged.end());
+    return serialize(
+        score_point(detector, params, batch.flagged, truth, families));
+  };
+  const RocConfig defaults;
+  std::vector<Bytes> expected_flow;
+  for (const double size_cv : defaults.flow_size_cv)
+    for (const double gap_cv : defaults.flow_gap_cv) {
+      FlowDetectorConfig c;
+      c.size_cv_threshold = size_cv;
+      c.gap_cv_threshold = gap_cv;
+      expected_flow.push_back(reference(
+          "flow-beacon", "size_cv=" + g(size_cv) + ",gap_cv=" + g(gap_cv),
+          detect_beacons(replay.trace, c)));
+    }
+  for (const std::size_t min_flows : defaults.tor_min_flows)
+    expected_flow.push_back(
+        reference("tor-flagger", "min_flows=" + std::to_string(min_flows),
+                  detect_tor_users(replay.trace, min_flows)));
+
+  std::string fingerprint;
+  for (const std::size_t threads : {1, 3, 8}) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    RocConfig sweep_config;
+    sweep_config.threads = threads;
+    const RocReport report =
+        RocSweep(sweep_config).run(replay.trace, families);
+    ASSERT_EQ(report.points.size(), 68u);
+    std::vector<Bytes> flow;
+    for (const RocPoint& p : report.points)
+      if (p.detector == "flow-beacon" || p.detector == "tor-flagger")
+        flow.push_back(serialize(p));
+    EXPECT_EQ(flow, expected_flow);
+    if (fingerprint.empty()) fingerprint = report.fingerprint;
+    EXPECT_EQ(report.fingerprint, fingerprint);
+  }
+
+  // Empty flow and tor axes drop those families (no pass runs at all);
+  // the other 48 points are unchanged. An empty gap axis alone drops
+  // only the beacon family.
+  const RocReport full = RocSweep().run(replay.trace, families);
+  const auto without = [&](const std::set<std::string>& dropped) {
+    std::vector<Bytes> kept;
+    for (const RocPoint& p : full.points)
+      if (dropped.count(p.detector) == 0) kept.push_back(serialize(p));
+    return kept;
+  };
+  const auto serialized = [](const RocReport& report) {
+    std::vector<Bytes> out;
+    for (const RocPoint& p : report.points) out.push_back(serialize(p));
+    return out;
+  };
+  RocConfig no_flow;
+  no_flow.flow_size_cv.clear();
+  no_flow.tor_min_flows.clear();
+  EXPECT_EQ(RocSweep(no_flow).cell_count(), 48u);
+  EXPECT_EQ(serialized(RocSweep(no_flow).run(replay.trace, families)),
+            without({"flow-beacon", "tor-flagger"}));
+  RocConfig no_beacon;
+  no_beacon.flow_gap_cv.clear();
+  EXPECT_EQ(serialized(RocSweep(no_beacon).run(replay.trace, families)),
+            without({"flow-beacon"}));
+}
+
+// ====================================================================
+// The shared operating-point scorer
+// ====================================================================
+
+TEST(ScorePoint, CountsAHandBuiltVerdict) {
+  const ScoringTruth truth({9, 2, 5}, {1, 2, 3, 4, 5, 9});
+  EXPECT_EQ(truth.benign, 3u);
+  GroundTruth families;
+  families.populations = {{"onion", {2, 9}},
+                          {"dga", {5}},
+                          {"benign_web", {1, 3, 4}}};
+
+  // 7 is flagged but not monitored: neither a TP nor an FP.
+  const RocPoint p =
+      score_point("flow-beacon", "k=v", {1, 2, 7, 9}, truth, families);
+  EXPECT_EQ(p.detector, "flow-beacon");
+  EXPECT_EQ(p.params, "k=v");
+  EXPECT_EQ(p.flagged, 4u);
+  EXPECT_EQ(p.true_positives, 2u);
+  EXPECT_EQ(p.false_positives, 1u);
+  EXPECT_DOUBLE_EQ(p.tpr, 2.0 / 3.0);
+  EXPECT_DOUBLE_EQ(p.fpr, 1.0 / 3.0);
+  EXPECT_DOUBLE_EQ(p.precision, 2.0 / 4.0);
+  // Per-family counts come out in GroundTruth order.
+  ASSERT_EQ(p.families.size(), 3u);
+  const std::vector<std::string> names = {"onion", "dga", "benign_web"};
+  const std::vector<std::size_t> flagged = {2, 0, 1};
+  const std::vector<std::size_t> population = {2, 1, 3};
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(p.families[i].family, names[i]);
+    EXPECT_EQ(p.families[i].flagged, flagged[i]);
+    EXPECT_EQ(p.families[i].population, population[i]);
+  }
+
+  // Zero denominators: no infected hosts → TPR 0; no benign hosts → FPR 0.
+  const RocPoint clean =
+      score_point("d", "", {1}, ScoringTruth({}, {1, 2}), GroundTruth{});
+  EXPECT_EQ(clean.false_positives, 1u);
+  EXPECT_EQ(clean.tpr, 0.0);
+  EXPECT_DOUBLE_EQ(clean.fpr, 0.5);
+  EXPECT_TRUE(clean.families.empty());
+
+  const RocPoint bots =
+      score_point("d", "", {1}, ScoringTruth({1, 2}, {1, 2}), GroundTruth{});
+  EXPECT_EQ(bots.true_positives, 1u);
+  EXPECT_DOUBLE_EQ(bots.tpr, 0.5);
+  EXPECT_EQ(bots.fpr, 0.0);
 }
 
 // ====================================================================
@@ -202,7 +332,7 @@ TEST(StreamingReplay, IsDeterministicPerSeedAndSeedSensitive) {
         replay_trace_streaming(campaign, small_replay(seed), scorer);
     scorer.finish();
     return std::pair<std::uint64_t, std::vector<HostId>>(
-        pops.flows, scorer.tor_flagged()[0]);
+        pops.flows, scorer.flagged()[1]);  // the tor threshold
   };
 
   const auto a = run(7), b = run(7), c2 = run(8);
