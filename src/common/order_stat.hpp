@@ -35,8 +35,9 @@ class OrderStatSet {
     bits_.resize(capacity, 0);
     // tree_ is 1-indexed; node i covers (i - lowbit(i), i]. A new node's
     // span can reach back into old indices, so seed it with the prefix
-    // difference (the new elements themselves contribute 0).
-    tree_.reserve(capacity + 1);
+    // difference (the new elements themselves contribute 0). No exact
+    // reserve: push_back's geometric growth keeps one-slot grows (one
+    // per joining bot) amortized O(1) instead of copying the tree.
     if (tree_.empty()) tree_.push_back(0);
     for (std::size_t i = tree_.size(); i <= capacity; ++i) {
       const std::size_t low = i & (~i + 1);

@@ -1,7 +1,7 @@
 // Disjoint-set forest with union by size and path halving. Used by the
-// from-scratch component counts (graph metrics, OverlayNetwork::
-// honest_components, scenario::sweep_structural), the partition-threshold
-// experiment (Figure 6) and graph tests.
+// from-scratch component counts (graph metrics,
+// scenario::sweep_structural), the partition-threshold experiment
+// (Figure 6) and graph tests.
 #pragma once
 
 #include <cstddef>
@@ -49,10 +49,10 @@ class UnionFind {
   /// Number of disjoint sets over the FULL index range — every element
   /// of the universe counts, including slots a caller considers dead
   /// (graph tombstones, removed bots). Callers tracking a live subset
-  /// must subtract their dead-singleton count (core::OverlayNetwork::
-  /// honest_components does) or count components by live members only
-  /// (scenario::sweep_structural does); reading num_sets() raw over a
-  /// tombstoned slot table silently inflates the component count.
+  /// must subtract their dead-singleton count or count components by
+  /// live members only (scenario::sweep_structural does); reading
+  /// num_sets() raw over a tombstoned slot table silently inflates the
+  /// component count.
   std::size_t num_sets() const { return sets_; }
 
   /// Size of the set containing x.

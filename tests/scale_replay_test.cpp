@@ -10,6 +10,7 @@
 
 #include "detection/replay.hpp"
 #include "detection/roc.hpp"
+#include "pinned_campaigns.hpp"
 #include "scenario/engine.hpp"
 
 namespace onion::detection {
@@ -19,27 +20,7 @@ using scenario::CampaignEngine;
 using scenario::CampaignTrace;
 using scenario::FanoutSink;
 using scenario::HashSink;
-using scenario::ScenarioSpec;
-
-// The pinned 10k campaign (same shape as tests/scale_test.cpp and
-// bench/bench_report.cpp): 5% churn plus a mid-campaign takedown wave.
-ScenarioSpec scale_spec(std::uint64_t seed) {
-  ScenarioSpec spec;
-  spec.seed = seed;
-  spec.initial_size = 10'000;
-  spec.degree = 10;
-  spec.horizon = kHour;
-  spec.churn.joins_per_hour = 500.0;
-  spec.churn.leaves_per_hour = 500.0;
-  scenario::AttackPhase takedown;
-  takedown.kind = scenario::AttackKind::RandomTakedown;
-  takedown.start = 15 * kMinute;
-  takedown.stop = 45 * kMinute;
-  takedown.takedowns_per_hour = 600.0;
-  spec.attacks.push_back(takedown);
-  spec.metrics.period = 5 * kMinute;
-  return spec;
-}
+using scenario::pinned_10k_spec;
 
 ReplayConfig scale_replay_config() {
   ReplayConfig rc;
@@ -60,7 +41,7 @@ TEST(ScaleReplay, TenThousandBotCampaignSweepsDeterministically) {
   CampaignTrace campaign;
   HashSink hash;
   FanoutSink fanout({&campaign, &hash});
-  CampaignEngine(scale_spec(0xbeef), fanout, &campaign).run();
+  CampaignEngine(pinned_10k_spec(0xbeef, 5 * kMinute), fanout, &campaign).run();
   ASSERT_GT(campaign.events().size(), 1000u);
 
   const ReplayResult replay =
@@ -76,7 +57,7 @@ TEST(ScaleReplay, TenThousandBotCampaignSweepsDeterministically) {
   CampaignTrace again;
   HashSink hash2;
   FanoutSink fanout2({&again, &hash2});
-  CampaignEngine(scale_spec(0xbeef), fanout2, &again).run();
+  CampaignEngine(pinned_10k_spec(0xbeef, 5 * kMinute), fanout2, &again).run();
   EXPECT_EQ(hash.hex_digest(), hash2.hex_digest());
   EXPECT_EQ(campaign.fingerprint(), again.fingerprint());
   const ReplayResult replay2 = replay_trace(again, scale_replay_config());

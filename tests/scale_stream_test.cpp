@@ -15,16 +15,17 @@
 #include "detection/replay.hpp"
 #include "detection/replay_grid.hpp"
 #include "detection/telemetry.hpp"
+#include "pinned_campaigns.hpp"
 #include "scenario/engine.hpp"
 #include "scenario/trace_io.hpp"
 
 namespace onion::detection {
 namespace {
 
-using scenario::AttackKind;
-using scenario::AttackPhase;
 using scenario::CampaignEngine;
 using scenario::CampaignTrace;
+using scenario::leave_heavy_500k_spec;
+using scenario::pinned_10k_spec;
 using scenario::ScenarioSpec;
 using scenario::trace_io::TraceReader;
 using scenario::trace_io::TraceWriter;
@@ -35,45 +36,6 @@ std::size_t peak_rss_kb() {
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
   return static_cast<std::size_t>(usage.ru_maxrss);
-}
-
-// The pinned 10k campaign (same shape as tests/scale_replay_test.cpp).
-ScenarioSpec ten_k_spec(std::uint64_t seed) {
-  ScenarioSpec spec;
-  spec.seed = seed;
-  spec.initial_size = 10'000;
-  spec.degree = 10;
-  spec.horizon = kHour;
-  spec.churn.joins_per_hour = 500.0;
-  spec.churn.leaves_per_hour = 500.0;
-  AttackPhase takedown;
-  takedown.kind = AttackKind::RandomTakedown;
-  takedown.start = 15 * kMinute;
-  takedown.stop = 45 * kMinute;
-  takedown.takedowns_per_hour = 600.0;
-  spec.attacks.push_back(takedown);
-  spec.metrics.period = 5 * kMinute;
-  return spec;
-}
-
-// The pinned 500k campaign (same spec as tests/scale_test.cpp's
-// half-million smoke and bench_report's "scale_runs").
-ScenarioSpec half_million_spec() {
-  ScenarioSpec spec;
-  spec.seed = 0x5ca1e;
-  spec.initial_size = 500'000;
-  spec.degree = 10;
-  spec.horizon = 10 * kMinute;
-  spec.churn.joins_per_hour = 600.0;
-  spec.churn.leaves_per_hour = 18'000.0;
-  AttackPhase takedown;
-  takedown.kind = AttackKind::RandomTakedown;
-  takedown.start = 2 * kMinute;
-  takedown.stop = 8 * kMinute;
-  takedown.takedowns_per_hour = 6'000.0;
-  spec.attacks.push_back(takedown);
-  spec.metrics.period = kSecond;
-  return spec;
 }
 
 ReplayConfig pinned_replay() {
@@ -91,7 +53,7 @@ ReplayConfig pinned_replay() {
 
 TEST(ScaleStream, TenThousandBotStreamedReplayIsByteIdentical) {
   const auto wall_start = std::chrono::steady_clock::now();
-  const ScenarioSpec spec = ten_k_spec(0xbeef);
+  const ScenarioSpec spec = pinned_10k_spec(0xbeef, 5 * kMinute);
 
   CampaignTrace campaign;
   CampaignEngine(spec, campaign, &campaign).run();
@@ -136,7 +98,7 @@ TEST(ScaleStream, HalfMillionBotReplayGridStaysInWindowMemory) {
   {
     // Record straight to disk: the event log never exists in memory.
     TraceWriter writer(path);
-    CampaignEngine(half_million_spec(), writer, &writer).run();
+    CampaignEngine(leave_heavy_500k_spec(), writer, &writer).run();
     writer.finish();
   }
 

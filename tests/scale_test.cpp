@@ -8,32 +8,14 @@
 
 #include <chrono>
 
+#include "pinned_campaigns.hpp"
 #include "scenario/engine.hpp"
 
 namespace onion::scenario {
 namespace {
 
-ScenarioSpec scale_spec(std::uint64_t seed) {
-  ScenarioSpec spec;
-  spec.seed = seed;
-  spec.initial_size = 10'000;
-  spec.degree = 10;
-  spec.horizon = kHour;
-  // 5% of the overlay churns over the hour, both directions.
-  spec.churn.joins_per_hour = 500.0;
-  spec.churn.leaves_per_hour = 500.0;
-  AttackPhase takedown;
-  takedown.kind = AttackKind::RandomTakedown;
-  takedown.start = 15 * kMinute;
-  takedown.stop = 45 * kMinute;
-  takedown.takedowns_per_hour = 600.0;
-  spec.attacks.push_back(takedown);
-  spec.metrics.period = 5 * kMinute;
-  return spec;
-}
-
 TEST(ScaleCampaign, TenThousandNodeChurnCampaignStaysHealthy) {
-  const ScenarioSpec spec = scale_spec(0xbeef);
+  const ScenarioSpec spec = pinned_10k_spec(0xbeef, 5 * kMinute);
   const auto wall_start = std::chrono::steady_clock::now();
   MemorySink sink;
   CampaignEngine engine(spec, sink);
@@ -66,9 +48,9 @@ TEST(ScaleCampaign, TenThousandNodeChurnCampaignStaysHealthy) {
 
 TEST(ScaleCampaign, TenThousandNodeReplayIsDeterministic) {
   HashSink first;
-  CampaignEngine(scale_spec(0xfeed), first).run();
+  CampaignEngine(pinned_10k_spec(0xfeed, 5 * kMinute), first).run();
   HashSink second;
-  CampaignEngine(scale_spec(0xfeed), second).run();
+  CampaignEngine(pinned_10k_spec(0xfeed, 5 * kMinute), second).run();
   EXPECT_EQ(first.hex_digest(), second.hex_digest());
 }
 
@@ -197,8 +179,8 @@ TEST(ScaleCampaign, FiftyThousandNodeDenseCadenceSmoke) {
 }
 
 TEST(ScaleCampaign, HalfMillionNodeLeaveHeavyDenseCadenceSmoke) {
-  // The 500k tier: the same spec bench_report.cpp records under
-  // "scale_runs" (seed 0x5ca1e, ten minutes at a 1 s cadence, 18000
+  // The 500k tier, pinned by tests/goldens/campaign_500k.txt
+  // (seed 0x5ca1e, ten minutes at a 1 s cadence, 18000
   // leaves/h plus a 6000/h takedown wave). Every one of the ~600
   // snapshot windows contains deletions — the exact regime where the
   // old hybrid tracker re-ran a full O(n+m) component rebuild per
@@ -209,24 +191,13 @@ TEST(ScaleCampaign, HalfMillionNodeLeaveHeavyDenseCadenceSmoke) {
   // smoke under the scale label instead.
   GTEST_SKIP() << "500k smoke runs in Release (NDEBUG) builds only";
 #else
-  ScenarioSpec spec;
-  spec.seed = 0x5ca1e;
-  spec.initial_size = 500'000;
-  spec.degree = 10;
-  spec.horizon = 10 * kMinute;
-  spec.churn.joins_per_hour = 600.0;
-  spec.churn.leaves_per_hour = 18'000.0;
-  AttackPhase takedown;
-  takedown.kind = AttackKind::RandomTakedown;
-  takedown.start = 2 * kMinute;
-  takedown.stop = 8 * kMinute;
-  takedown.takedowns_per_hour = 6'000.0;
-  spec.attacks.push_back(takedown);
-  spec.metrics.period = kSecond;
+  const ScenarioSpec spec = leave_heavy_500k_spec();
 
   const auto wall_start = std::chrono::steady_clock::now();
   MemorySink sink;
-  CampaignEngine engine(spec, sink);
+  HashSink hash;
+  FanoutSink fanout({&sink, &hash});
+  CampaignEngine engine(spec, fanout);
   const MetricsSnapshot end = engine.run();
   const double wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -235,6 +206,9 @@ TEST(ScaleCampaign, HalfMillionNodeLeaveHeavyDenseCadenceSmoke) {
 
   EXPECT_EQ(end.time, spec.horizon);
   ASSERT_EQ(sink.snapshots().size(), 601u);
+  EXPECT_EQ(hash.hex_digest(),
+            golden_digest("campaign_500k.txt", "leave_heavy_500k_1s"))
+      << "fresh line: leave_heavy_500k_1s " << hash.hex_digest();
   // Leave-heavy: ~3000 leaves and ~600 takedowns landed in 10 minutes.
   EXPECT_GT(end.leaves, 2000u);
   EXPECT_GT(end.takedowns, 400u);

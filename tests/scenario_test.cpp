@@ -4,6 +4,9 @@
 // phases, defense toggles, and sink behavior.
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "pinned_campaigns.hpp"
 #include "scenario/engine.hpp"
 
 namespace onion::scenario {
@@ -571,34 +574,21 @@ TEST(SessionChurn, SessionsDriveLeavesAndAttacksCutThemShort) {
 // ====================================================================
 
 TEST(ChargedHealing, DisabledIsTheDefaultAndReproducesThePinnedGolden) {
-  // The exact pinned 10k campaign of bench/bench_report.cpp (sparse
-  // cadence), with every new feature at its default: the stream
-  // fingerprint must equal the committed golden byte-for-byte
-  // (tests/goldens/campaign_10k.txt — regenerate only with an intended,
-  // explained behavior change). Note the caveat in tests/goldens/
-  // README.md: the value is pinned to IEEE-754 + the libm of the CI
-  // build environment.
-  ScenarioSpec spec;
-  spec.seed = 0xbe7c;
-  spec.initial_size = 10'000;
-  spec.degree = 10;
-  spec.horizon = kHour;
-  spec.churn.joins_per_hour = 500.0;
-  spec.churn.leaves_per_hour = 500.0;
-  AttackPhase takedown;
-  takedown.kind = AttackKind::RandomTakedown;
-  takedown.start = 15 * kMinute;
-  takedown.stop = 45 * kMinute;
-  takedown.takedowns_per_hour = 600.0;
-  spec.attacks.push_back(takedown);
-  spec.metrics.period = 5 * kMinute;
-  ASSERT_FALSE(spec.defense.charge_healing);
-
-  HashSink sink;
-  CampaignEngine(spec, sink).run();
-  EXPECT_EQ(
-      sink.hex_digest(),
-      "3fe636c71996590f0da5bfb139272bb7714b4ba198b3fd84a3bf78e0712067ef");
+  // The pinned 10k campaign at both golden cadences, with every feature
+  // at its default: each stream fingerprint must equal the committed
+  // golden byte-for-byte (regenerate only with an intended, explained
+  // behavior change). Note the caveat in tests/goldens/README.md: the
+  // values are pinned to IEEE-754 + the libm of the CI build environment.
+  const std::pair<const char*, SimDuration> cadences[] = {
+      {"sparse_300s", 5 * kMinute}, {"dense_1s", kSecond}};
+  for (const auto& [key, period] : cadences) {
+    const ScenarioSpec spec = pinned_10k_spec(0xbe7c, period);
+    ASSERT_FALSE(spec.defense.charge_healing);
+    HashSink sink;
+    CampaignEngine(spec, sink).run();
+    EXPECT_EQ(sink.hex_digest(), golden_digest("campaign_10k.txt", key))
+        << "fresh line: " << key << ' ' << sink.hex_digest();
+  }
 }
 
 ScenarioSpec defended_spec(bool charge_healing) {
