@@ -6,6 +6,18 @@ namespace onion::core {
 
 using graph::NodeId;
 
+std::vector<NodeId> non_candidates(const graph::Graph& g, NodeId u) {
+  std::vector<NodeId> out;
+  for (const NodeId n : g.neighbors(u)) {
+    for (const NodeId nn : g.neighbors(n)) {
+      if (nn == u || g.has_edge(u, nn)) continue;
+      if (std::find(out.begin(), out.end(), nn) == out.end())
+        out.push_back(nn);
+    }
+  }
+  return out;
+}
+
 void DdsrEngine::remove_node_no_repair(NodeId u) {
   graph_.remove_node(u);
   ++stats_.nodes_removed;
@@ -98,23 +110,10 @@ void DdsrEngine::prune_node(NodeId v, std::vector<NodeId>& lost_edge) {
     const auto& peers = graph_.neighbors(v);
     NodeId victim = graph::kInvalidNode;
     switch (policy_.victim) {
-      case DdsrPolicy::Victim::HighestDegree: {
-        // Highest-degree neighbor; ties broken uniformly (paper rule).
-        std::size_t best = 0;
-        std::size_t ties = 0;
-        for (const NodeId p : peers) {
-          const std::size_t d = graph_.degree(p);
-          if (d > best) {
-            best = d;
-            victim = p;
-            ties = 1;
-          } else if (d == best && d > 0) {
-            ++ties;
-            if (rng_.uniform(ties) == 0) victim = p;
-          }
-        }
+      case DdsrPolicy::Victim::HighestDegree:
+        victim = highest_peer(
+            peers, [this](NodeId p) { return graph_.degree(p); }, rng_);
         break;
-      }
       case DdsrPolicy::Victim::Random:
         victim = peers[static_cast<std::size_t>(rng_.uniform(peers.size()))];
         break;
@@ -139,22 +138,13 @@ void DdsrEngine::refill_node(NodeId v) {
     pending.pop_back();
     if (!graph_.alive(u)) continue;
     while (graph_.degree(u) < policy_.dmin && guard++ < 512) {
-      // Candidates: alive neighbors-of-neighbors not already adjacent.
       // Nodes with spare capacity are preferred (a full node only
       // accepts by evicting — the bot-level acceptance rule).
-      std::vector<NodeId> candidates;
-      std::vector<NodeId> with_capacity;
-      for (const NodeId n : graph_.neighbors(u)) {
-        for (const NodeId nn : graph_.neighbors(n)) {
-          if (nn == u || graph_.has_edge(u, nn)) continue;
-          if (std::find(candidates.begin(), candidates.end(), nn) !=
-              candidates.end())
-            continue;
-          candidates.push_back(nn);
-          if (graph_.degree(nn) < policy_.dmax) with_capacity.push_back(nn);
-        }
-      }
+      const std::vector<NodeId> candidates = non_candidates(graph_, u);
       if (candidates.empty()) break;  // NoN exhausted; dmin is best-effort
+      std::vector<NodeId> with_capacity;
+      for (const NodeId c : candidates)
+        if (graph_.degree(c) < policy_.dmax) with_capacity.push_back(c);
       const auto& pool = with_capacity.empty() ? candidates : with_capacity;
       const NodeId pick =
           pool[static_cast<std::size_t>(rng_.uniform(pool.size()))];

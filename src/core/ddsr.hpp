@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "graph/graph.hpp"
@@ -52,6 +53,37 @@ struct DdsrPolicy {
   };
   Repair repair = Repair::PairwiseFull;
 };
+
+/// The eviction rule shared by pruning (true degree) and the bot-level
+/// peering policy (declared degree, core/overlay.hpp): the peer with the
+/// highest positive `key`, ties broken uniformly by a reservoir walk that
+/// draws rng.uniform(ties) once per tie. kInvalidNode when no peer has a
+/// positive key.
+template <class Key>
+graph::NodeId highest_peer(const std::vector<graph::NodeId>& peers, Key key,
+                           Rng& rng) {
+  graph::NodeId best = graph::kInvalidNode;
+  std::size_t best_key = 0;
+  std::size_t ties = 0;
+  for (const graph::NodeId p : peers) {
+    const std::size_t k = key(p);
+    if (k > best_key) {
+      best_key = k;
+      best = p;
+      ties = 1;
+    } else if (k == best_key && k > 0) {
+      ++ties;
+      if (rng.uniform(ties) == 0) best = p;
+    }
+  }
+  return best;
+}
+
+/// NoN refill candidates of `u`: its neighbors' neighbors that are not
+/// `u` and not already adjacent to it, deduplicated, in first-seen order
+/// (bots only know two hops out, so refill never looks further).
+std::vector<graph::NodeId> non_candidates(const graph::Graph& g,
+                                          graph::NodeId u);
 
 /// Counters describing maintenance work done so far.
 struct DdsrStats {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/ddsr.hpp"
 #include "graph/generators.hpp"
 
 namespace onion::core {
@@ -88,22 +89,10 @@ PeerDecision OverlayNetwork::request_peering(NodeId requester,
 
   // Full: accept only if the newcomer undercuts the worst current peer
   // (by declared degree); that peer is evicted — Figure 7 step 4.
-  const auto& peers = graph_.neighbors(target);
-  NodeId victim = graph::kInvalidNode;
-  std::size_t worst = 0;
-  std::size_t ties = 0;
-  for (const NodeId p : peers) {
-    const std::size_t d = declared_degree(p);
-    if (d > worst) {
-      worst = d;
-      victim = p;
-      ties = 1;
-    } else if (d == worst && victim != graph::kInvalidNode) {
-      ++ties;
-      if (rng_.uniform(ties) == 0) victim = p;
-    }
-  }
-  if (victim == graph::kInvalidNode || declared_degree(requester) >= worst)
+  const auto declared = [this](NodeId p) { return declared_degree(p); };
+  const NodeId victim = highest_peer(graph_.neighbors(target), declared, rng_);
+  if (victim == graph::kInvalidNode ||
+      declared_degree(requester) >= declared_degree(victim))
     return PeerDecision::Rejected;
 
   graph_.remove_edge(target, victim);
@@ -116,15 +105,7 @@ PeerDecision OverlayNetwork::request_peering(NodeId requester,
 void OverlayNetwork::refill(NodeId v) {
   if (!graph_.alive(v) || !honest(v)) return;
   while (graph_.degree(v) < config_.dmin) {
-    std::vector<NodeId> candidates;
-    for (const NodeId n : graph_.neighbors(v)) {
-      for (const NodeId nn : graph_.neighbors(n)) {
-        if (nn == v || graph_.has_edge(v, nn)) continue;
-        if (std::find(candidates.begin(), candidates.end(), nn) ==
-            candidates.end())
-          candidates.push_back(nn);
-      }
-    }
+    const std::vector<NodeId> candidates = non_candidates(graph_, v);
     if (candidates.empty()) return;
     const NodeId pick =
         candidates[static_cast<std::size_t>(rng_.uniform(candidates.size()))];

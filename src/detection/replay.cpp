@@ -10,7 +10,6 @@ namespace onion::detection {
 namespace {
 
 using scenario::CampaignEvent;
-using scenario::CampaignTrace;
 using scenario::TraceEventKind;
 using scenario::TraceSource;
 
@@ -145,11 +144,6 @@ ReplayResult replay_trace(const TraceSource& campaign,
         c.rng));
   });
   return std::move(c.result);
-}
-
-ReplayResult replay_trace(const CampaignTrace& campaign,
-                          const ReplayConfig& config) {
-  return replay_trace(static_cast<const TraceSource&>(campaign), config);
 }
 
 GroundTruth replay_ground_truth(const ReplayResult& result) {

@@ -146,10 +146,6 @@ void for_each_event_cell(
 ReplayResult replay_trace(const scenario::TraceSource& campaign,
                           const ReplayConfig& config);
 
-/// Back-compat spelling; forwards to the TraceSource overload.
-ReplayResult replay_trace(const scenario::CampaignTrace& campaign,
-                          const ReplayConfig& config);
-
 /// Fraction of `population` that `result` flagged — per-family TPR (or
 /// FPR, for a benign population) over a composed trace. 0 on an empty
 /// population.

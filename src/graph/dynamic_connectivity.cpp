@@ -4,32 +4,6 @@
 
 namespace onion::graph {
 
-void DynamicConnectivity::reset(std::size_t capacity) {
-  label_.assign(capacity, kNil);
-  degree_.assign(capacity, 0);
-  head_half_.assign(capacity, kNil);
-  member_next_.assign(capacity, kNil);
-  member_prev_.assign(capacity, kNil);
-  visit_mark_.assign(capacity, 0);
-  visit_side_.assign(capacity, 0);
-  half_to_.clear();
-  half_next_.clear();
-  free_pairs_.clear();
-  comp_size_.clear();
-  comp_head_.clear();
-  comp_free_.clear();
-  size_counts_.clear();
-  num_vertices_ = 0;
-  num_edges_ = 0;
-  components_ = 0;
-  merges_ = 0;
-  splits_ = 0;
-  search_steps_ = 0;
-  epoch_ = 0;
-  queue_a_.clear();
-  queue_b_.clear();
-}
-
 void DynamicConnectivity::ensure_capacity(std::size_t capacity) {
   if (capacity <= label_.size()) return;
   label_.resize(capacity, kNil);

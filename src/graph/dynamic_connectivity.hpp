@@ -47,14 +47,10 @@ namespace onion::graph {
 /// bots only) and mirrors every mutation in, in order.
 class DynamicConnectivity {
  public:
+  /// `capacity` empty (untracked) slots.
   explicit DynamicConnectivity(std::size_t capacity = 0) {
-    reset(capacity);
+    ensure_capacity(capacity);
   }
-
-  /// Re-initializes to `capacity` empty (untracked) slots. Reuses every
-  /// internal buffer — a resync never allocates once the structure has
-  /// been warmed to its high-water capacity.
-  void reset(std::size_t capacity);
 
   /// Grows the slot table (new slots untracked). No-op if already big
   /// enough; never shrinks.

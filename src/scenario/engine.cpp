@@ -55,18 +55,28 @@ CampaignEngine::CampaignEngine(const ScenarioSpec& spec, SnapshotSink& sink,
   }
   wave_takedowns_.resize(spec_.waves.waves.size(), 0);
   soap_.resize(phases_.size());
-  adaptive_.resize(phases_.size());
+  ranking_.resize(phases_.size());
+  for (std::size_t i = 0; i < phases_.size(); ++i) {
+    // Targeted and Centrality are the refresh-0 Degree and
+    // SampledBetweenness rankings; only Adaptive picks its own.
+    const AttackPhase& phase = phases_[i];
+    RankingState& state = ranking_[i];
+    state.metric = phase.rank;
+    if (phase.kind == AttackKind::TargetedTakedown)
+      state.metric = RankMetric::Degree;
+    if (phase.kind == AttackKind::CentralityTakedown)
+      state.metric = RankMetric::SampledBetweenness;
+    state.every_strike = phase.kind != AttackKind::AdaptiveTakedown ||
+                         phase.refresh_period == 0;
+  }
 
   if (spec_.defense.charge_healing) {
     // Defense-consistent healing: every DDSR repair/refill edge becomes
     // a peering request against the PoW/rate-limit policy. An eviction
     // it causes is mended the same way a bootstrap eviction is.
     ddsr_.set_connector([this](NodeId a, NodeId b) {
-      emit(TraceEventKind::HealPeering, a, b);
-      NodeId evicted = graph::kInvalidNode;
       const core::PeerDecision decision =
-          net_.request_peering(a, b, &evicted);
-      if (evicted != graph::kInvalidNode) net_.refill(evicted);
+          peer(TraceEventKind::HealPeering, a, b);
       return decision == core::PeerDecision::AcceptedWithCapacity ||
              decision == core::PeerDecision::AcceptedEvicted;
     });
@@ -157,12 +167,8 @@ void CampaignEngine::do_join() {
   // only by evicting (the degree-0 newcomer always undercuts); the
   // evicted bot refills from its NoN so the join cannot leave holes.
   const std::size_t want = std::min(spec_.degree, candidates.size());
-  for (const NodeId target : rng_.sample(candidates, want)) {
-    emit(TraceEventKind::Peering, id, target);
-    NodeId evicted = graph::kInvalidNode;
-    net_.request_peering(id, target, &evicted);
-    if (evicted != graph::kInvalidNode) net_.refill(evicted);
-  }
+  for (const NodeId target : rng_.sample(candidates, want))
+    peer(TraceEventKind::Peering, id, target);
   net_.refill(id);  // top up if some requests were rejected/limited
   if (spec_.churn.session_leaves)
     arm_session_leave(
@@ -175,14 +181,7 @@ void CampaignEngine::do_leave() {
   // bot as rng_.pick over the ascending id vector, in O(log n) not O(n).
   const std::uint64_t honest_count = tracker_.honest_alive();
   if (honest_count <= 1) return;
-  const NodeId victim = tracker_.honest_at(rng_.uniform(honest_count));
-  ++counters_.leaves;
-  emit(TraceEventKind::Leave, victim);
-  if (spec_.churn.heal_on_leave) {
-    ddsr_.remove_node(victim);
-  } else {
-    ddsr_.remove_node_no_repair(victim);
-  }
+  leave(tracker_.honest_at(rng_.uniform(honest_count)));
 }
 
 void CampaignEngine::do_session_leave(NodeId bot) {
@@ -190,13 +189,30 @@ void CampaignEngine::do_session_leave(NodeId bot) {
   // is still alive can leave, and never the last one standing.
   if (!net_.alive(bot)) return;
   if (tracker_.honest_alive() <= 1) return;
+  leave(bot);
+}
+
+void CampaignEngine::leave(NodeId bot) {
   ++counters_.leaves;
   emit(TraceEventKind::Leave, bot);
-  if (spec_.churn.heal_on_leave) {
+  remove(bot, spec_.churn.heal_on_leave);
+}
+
+void CampaignEngine::remove(NodeId bot, bool heal) {
+  if (heal) {
     ddsr_.remove_node(bot);
   } else {
     ddsr_.remove_node_no_repair(bot);
   }
+}
+
+core::PeerDecision CampaignEngine::peer(TraceEventKind kind, NodeId a,
+                                        NodeId b) {
+  emit(kind, a, b);
+  NodeId evicted = graph::kInvalidNode;
+  const core::PeerDecision decision = net_.request_peering(a, b, &evicted);
+  if (evicted != graph::kInvalidNode) net_.refill(evicted);
+  return decision;
 }
 
 // --- attacks ---------------------------------------------------------
@@ -228,11 +244,7 @@ void CampaignEngine::do_takedown(std::size_t phase_index) {
   if (phase_index >= wave_base_)
     ++wave_takedowns_[phase_index - wave_base_];
   emit(TraceEventKind::Takedown, victim);
-  if (phases_[phase_index].heal) {
-    ddsr_.remove_node(victim);
-  } else {
-    ddsr_.remove_node_no_repair(victim);
-  }
+  remove(victim, phases_[phase_index].heal);
 }
 
 namespace {
@@ -258,52 +270,21 @@ graph::NodeId best_by_score(const std::vector<double>& score,
 
 CampaignEngine::NodeId CampaignEngine::pick_victim(
     std::size_t phase_index, const std::vector<NodeId>& honest) {
-  const AttackPhase& phase = phases_[phase_index];
-  switch (phase.kind) {
-    case AttackKind::RandomTakedown:
-      break;  // handled in do_takedown via the tracker's order statistics
-    case AttackKind::TargetedTakedown: {
-      const graph::Graph& g = net_.graph();
-      NodeId best = honest.front();
-      std::size_t best_degree = g.degree(best);
-      for (const NodeId u : honest) {
-        if (g.degree(u) > best_degree) {
-          best_degree = g.degree(u);
-          best = u;
-        }
-      }
-      return best;
-    }
-    case AttackKind::CentralityTakedown: {
-      const std::vector<double> bc = graph::betweenness_sampled(
-          net_.graph(), phase.betweenness_pivots, rng_);
-      return best_by_score(bc, honest);
-    }
-    case AttackKind::AdaptiveTakedown: {
-      AdaptiveState& state = adaptive_[phase_index];
-      // refresh_period 0 re-surveys before every strike — the
-      // refresh-cadence → ∞ limit, byte-identical to Centrality/
-      // TargetedTakedown for the matching metric. Otherwise the first
-      // strike ranks lazily if no scheduled refresh ran yet, and the
-      // cached (stale) table serves until the next cadence refresh.
-      if (!state.ranked || phase.refresh_period == 0)
-        refresh_ranking(phase_index);
-      return best_by_score(state.score, honest);
-    }
-    case AttackKind::SoapInjection:
-      break;  // SOAP phases never pick takedown victims
-  }
-  ONION_ENSURES(false);  // unreachable attack kind
-  return graph::kInvalidNode;
+  RankingState& state = ranking_[phase_index];
+  // A refresh-0 ranking re-surveys before every strike (the refresh-
+  // cadence → ∞ limit). Otherwise the first strike ranks lazily if no
+  // scheduled refresh ran yet, and the cached (stale) table serves until
+  // the next cadence refresh.
+  if (!state.ranked || state.every_strike) refresh_ranking(phase_index);
+  return best_by_score(state.score, honest);
 }
 
 void CampaignEngine::refresh_ranking(std::size_t phase_index) {
-  const AttackPhase& phase = phases_[phase_index];
-  AdaptiveState& state = adaptive_[phase_index];
-  switch (phase.rank) {
+  RankingState& state = ranking_[phase_index];
+  switch (state.metric) {
     case RankMetric::SampledBetweenness:
       state.score = graph::betweenness_sampled(
-          net_.graph(), phase.betweenness_pivots, rng_);
+          net_.graph(), phases_[phase_index].betweenness_pivots, rng_);
       break;
     case RankMetric::Degree: {
       const graph::Graph& g = net_.graph();
@@ -326,7 +307,7 @@ void CampaignEngine::arm_refresh(std::size_t phase_index, SimTime t) {
       const std::vector<NodeId> honest = net_.honest_nodes();
       if (!honest.empty())
         emit(TraceEventKind::AdaptiveRefresh, phase_index,
-             best_by_score(adaptive_[phase_index].score, honest));
+             best_by_score(ranking_[phase_index].score, honest));
     }
     arm_refresh(phase_index, t + phases_[phase_index].refresh_period);
   });
@@ -368,8 +349,7 @@ void CampaignEngine::arm_round(SimTime t) {
     // refill contract), so each fresh round retries every bot still
     // below dmin — without this, a newcomer whose whole bootstrap round
     // was throttled would stay isolated forever.
-    for (const NodeId v : net_.honest_nodes())
-      if (net_.graph().degree(v) < net_.config().dmin) net_.refill(v);
+    for (const NodeId v : net_.honest_nodes()) net_.refill(v);
     arm_round(t + spec_.defense.round);
   });
 }

@@ -78,10 +78,14 @@ class CampaignEngine {
   struct SoapPhaseState {
     std::unique_ptr<mitigation::SoapCampaign> campaign;
   };
-  /// Cached victim ranking of an AdaptiveTakedown phase. Scores are
+  /// Victim ranking of a ranked takedown phase. Targeted and Centrality
+  /// are the Degree and SampledBetweenness rankings re-surveyed before
+  /// every strike; Adaptive uses its own metric and cadence. Scores are
   /// indexed by node id at ranking time; nodes that joined since score
   /// 0 until the next refresh — the attacker has not surveyed them yet.
-  struct AdaptiveState {
+  struct RankingState {
+    RankMetric metric = RankMetric::SampledBetweenness;
+    bool every_strike = false;
     std::vector<double> score;
     bool ranked = false;
   };
@@ -93,8 +97,17 @@ class CampaignEngine {
   void do_takedown(std::size_t phase_index);
   NodeId pick_victim(std::size_t phase_index,
                      const std::vector<NodeId>& honest);
-  /// Recomputes an adaptive phase's score table from the live graph.
+  /// Recomputes a ranked phase's score table from the live graph.
   void refresh_ranking(std::size_t phase_index);
+
+  // Shared maintenance steps.
+  /// Removes `bot`, with DDSR repair of its neighborhood iff `heal`.
+  void remove(NodeId bot, bool heal);
+  /// A churn leave (pooled or session): count, trace, remove.
+  void leave(NodeId bot);
+  /// Traces `kind`, has `a` ask `b` to peer, and refills whoever the
+  /// request evicted so it cannot leave a hole below dmin.
+  core::PeerDecision peer(TraceEventKind kind, NodeId a, NodeId b);
 
   // Self-rescheduling event chains (each guards against the horizon).
   void arm_join(SimTime t);
@@ -131,7 +144,7 @@ class CampaignEngine {
   std::size_t wave_base_ = 0;
   std::vector<std::uint64_t> wave_takedowns_;  // one slot per wave
   std::vector<SoapPhaseState> soap_;       // one slot per phases_ entry
-  std::vector<AdaptiveState> adaptive_;    // one slot per phases_ entry
+  std::vector<RankingState> ranking_;      // one slot per phases_ entry
   CampaignCounters counters_;
   MetricsSnapshot last_;
   std::size_t events_executed_ = 0;

@@ -303,6 +303,18 @@ bool try_accept_frame(CellJob& job, const std::string& results_dir,
   }
 }
 
+/// Validates the coordinator knobs (results_dir non-empty, workers /
+/// max_attempts >= 1, positive timeout and poll interval); throws
+/// ContractViolation on a bad config, so misconfiguration fails before
+/// any fork.
+void validate_coordinator_config(const GridCoordinatorConfig& config) {
+  ONION_EXPECTS(!config.results_dir.empty());
+  ONION_EXPECTS(config.workers >= 1);
+  ONION_EXPECTS(config.max_attempts >= 1);
+  ONION_EXPECTS(config.cell_timeout_seconds > 0.0);
+  ONION_EXPECTS(config.poll_interval_seconds > 0.0);
+}
+
 }  // namespace
 
 std::vector<FailedCell> accept_frames(CellJob& job,
@@ -315,14 +327,6 @@ std::vector<FailedCell> accept_frames(CellJob& job,
                         /*attempts=*/0, std::move(error)});
   }
   return failed;
-}
-
-void validate_coordinator_config(const GridCoordinatorConfig& config) {
-  ONION_EXPECTS(!config.results_dir.empty());
-  ONION_EXPECTS(config.workers >= 1);
-  ONION_EXPECTS(config.max_attempts >= 1);
-  ONION_EXPECTS(config.cell_timeout_seconds > 0.0);
-  ONION_EXPECTS(config.poll_interval_seconds > 0.0);
 }
 
 ProcessCellCoordinator::ProcessCellCoordinator(CellJob& job,

@@ -255,13 +255,6 @@ struct GridCoordinatorConfig {
   FaultPlan faults;
 };
 
-/// Validates the shared coordinator knobs (results_dir non-empty,
-/// workers / max_attempts >= 1, positive timeout and poll interval);
-/// throws ContractViolation on a bad config. Every coordinator front
-/// end calls this at construction so misconfiguration fails before any
-/// fork.
-void validate_coordinator_config(const GridCoordinatorConfig& config);
-
 /// Process-level bookkeeping of one coordinated run, cell-kind
 /// agnostic; the job's own report carries the decoded results.
 struct ProcessOutcome {

@@ -47,6 +47,10 @@ enum class AttackKind : std::uint8_t {
   SoapInjection,       // clone-based containment (Section VI-B)
   AdaptiveTakedown,    // re-ranks victims on a refresh cadence (below)
 };
+// Targeted and Centrality are the refresh-0 AdaptiveTakedown rankings
+// under a fixed metric (Degree, SampledBetweenness): the engine runs all
+// three through one ranking path and ignores `rank`/`refresh_period` for
+// the fixed kinds.
 
 /// How an AdaptiveTakedown attacker scores victims when it (re)ranks.
 enum class RankMetric : std::uint8_t {
@@ -76,11 +80,10 @@ struct AttackPhase {
 
   /// AdaptiveTakedown: the victim-ranking metric, and how often the
   /// attacker re-surveys the healing overlay. 0 re-ranks before every
-  /// strike — with rank == SampledBetweenness that is event-stream-
-  /// identical to CentralityTakedown (the refresh-cadence → ∞ limit;
-  /// tests/scenario_test.cpp enforces the identity byte-for-byte), and
-  /// with rank == Degree identical to TargetedTakedown. kNeverRefresh
-  /// ranks once at the first strike. Any value in between schedules
+  /// strike (the refresh-cadence → ∞ limit) — the same code path as
+  /// CentralityTakedown for rank == SampledBetweenness and as
+  /// TargetedTakedown for rank == Degree. kNeverRefresh ranks once at
+  /// the first strike. Any value in between schedules
   /// refreshes at start, start + refresh_period, ... inside the window,
   /// each recorded as a TraceEventKind::AdaptiveRefresh.
   RankMetric rank = RankMetric::SampledBetweenness;

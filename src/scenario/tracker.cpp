@@ -54,13 +54,12 @@ MetricsSnapshot sweep_structural(const core::OverlayNetwork& net,
 }
 
 StructuralTracker::StructuralTracker(core::OverlayNetwork& net)
-    : net_(net), graph_(net.graph_mut()) {
+    : net_(net), graph_(net.graph_mut()), dc_(graph_.capacity()) {
   graph_.set_observer(this);  // throws if another observer is attached
   base_epoch_ = graph_.mutation_epoch();
 
   // Absorb the current state: the one full pass this tracker ever pays.
   const std::size_t cap = graph_.capacity();
-  dc_.reset(cap);
   honest_set_.ensure_size(cap);
   for (NodeId u = 0; u < cap; ++u) {
     if (!graph_.alive(u)) continue;
@@ -68,7 +67,6 @@ StructuralTracker::StructuralTracker(core::OverlayNetwork& net)
       ++sybil_alive_;
       continue;
     }
-    ++honest_alive_;
     dc_.insert_vertex(u);
     honest_set_.set(u);
     const std::size_t d = graph_.degree(u);
@@ -80,10 +78,7 @@ StructuralTracker::StructuralTracker(core::OverlayNetwork& net)
   for (NodeId u = 0; u < cap; ++u) {
     if (!graph_.alive(u) || !net_.honest(u)) continue;
     for (const NodeId v : graph_.neighbors(u))
-      if (v > u && net_.honest(v)) {
-        ++honest_edges_;
-        dc_.insert_edge(u, v);
-      }
+      if (v > u && net_.honest(v)) dc_.insert_edge(u, v);
   }
 }
 
@@ -113,7 +108,6 @@ void StructuralTracker::on_node_added(NodeId u) {
   dc_.ensure_capacity(graph_.capacity());
   honest_set_.ensure_size(graph_.capacity());
   if (net_.honest(u)) {
-    ++honest_alive_;
     shift_histogram(kNoBucket, 0);
     dc_.insert_vertex(u);
     honest_set_.set(u);
@@ -128,7 +122,6 @@ void StructuralTracker::on_node_removed(NodeId u) {
     // The graph detaches every incident edge before this fires, so the
     // node sits in the degree-0 bucket — and in a singleton component —
     // by now.
-    --honest_alive_;
     shift_histogram(0, kNoBucket);
     dc_.remove_vertex(u);
     honest_set_.clear(u);
@@ -151,10 +144,7 @@ void StructuralTracker::on_edge_added(NodeId u, NodeId v) {
     const std::size_t d = graph_.degree(v);
     shift_histogram(d - 1, d);
   }
-  if (hu && hv) {
-    ++honest_edges_;
-    dc_.insert_edge(u, v);
-  }
+  if (hu && hv) dc_.insert_edge(u, v);
 }
 
 void StructuralTracker::on_edge_removed(NodeId u, NodeId v) {
@@ -172,7 +162,6 @@ void StructuralTracker::on_edge_removed(NodeId u, NodeId v) {
     shift_histogram(d + 1, d);
   }
   if (hu && hv) {
-    --honest_edges_;
     // The replacement-path search settles the split (or proves there is
     // none) right now — no dirty flag, no deferred rebuild.
     dc_.remove_edge(u, v);
@@ -186,16 +175,16 @@ void StructuralTracker::fill(MetricsSnapshot& s, bool with_histogram) {
                     "missed mutations: graph epoch "
                         << graph_.mutation_epoch() << " != base "
                         << base_epoch_ << " + observed " << events_seen_);
-  s.honest_alive = honest_alive_;
+  s.honest_alive = dc_.num_vertices();
   s.sybil_alive = sybil_alive_;
-  s.honest_edges = honest_edges_;
-  if (honest_alive_ > 0) {
+  s.honest_edges = dc_.num_edges();
+  if (s.honest_alive > 0) {
     s.components = dc_.components();
     s.largest_component = dc_.largest_component();
     s.largest_fraction = static_cast<double>(s.largest_component) /
-                         static_cast<double>(honest_alive_);
+                         static_cast<double>(s.honest_alive);
     s.average_degree = static_cast<double>(degree_sum_) /
-                       static_cast<double>(honest_alive_);
+                       static_cast<double>(s.honest_alive);
   }
   if (with_histogram) s.degree_histogram = histogram_;
 }

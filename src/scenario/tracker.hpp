@@ -6,10 +6,12 @@
 // histogram copy instead of the O((n+m)·α) slot-table sweep the engine
 // used to pay per snapshot.
 //
-// Components and the largest component live in a fully-dynamic
-// connectivity structure (graph::DynamicConnectivity): insertions merge
-// by weighted relabeling, deletions run a bidirectional replacement-path
-// search. There is no dirty flag and no deletion-window rebuild cliff —
+// The honest subgraph lives in a fully-dynamic connectivity structure
+// (graph::DynamicConnectivity), which owns the honest alive count, the
+// honest-edge count, the components and the largest component — the
+// tracker keeps no second copy of them. Insertions merge by weighted
+// relabeling, deletions run a bidirectional replacement-path search.
+// There is no dirty flag and no deletion-window rebuild cliff —
 // takedown-heavy campaigns (the paper's Section V resilience sweeps) pay
 // per-event costs proportional to actual structural change, not to
 // graph size. tests/tracker_test.cpp proves byte-equality with the
@@ -71,7 +73,7 @@ class StructuralTracker final : public graph::MutationObserver {
 
   /// --- honest-population order statistics ----------------------------
   /// Number of honest alive nodes.
-  std::uint64_t honest_alive() const { return honest_alive_; }
+  std::uint64_t honest_alive() const { return dc_.num_vertices(); }
   /// Id of the k-th honest alive node in ascending id order — equal to
   /// net.honest_nodes()[k], in O(log n) and without the O(n) vector.
   NodeId honest_at(std::uint64_t k) const {
@@ -90,10 +92,9 @@ class StructuralTracker final : public graph::MutationObserver {
   const core::OverlayNetwork& net_;
   graph::Graph& graph_;
 
-  // Exact per-mutation counters.
-  std::uint64_t honest_alive_ = 0;
+  // Exact per-mutation counters. Honest alive nodes and honest-honest
+  // edges are exactly dc_'s vertices and edges, so dc_ owns those counts.
   std::uint64_t sybil_alive_ = 0;
-  std::uint64_t honest_edges_ = 0;
   std::uint64_t degree_sum_ = 0;  // honest nodes, all incident edges
   std::vector<std::uint32_t> histogram_;  // trimmed: no trailing zeros
 

@@ -272,5 +272,62 @@ TEST(Ddsr, AblationRandomVictimStillCapsDegree) {
   for (const NodeId u : g.alive_nodes()) EXPECT_LE(g.degree(u), 8u);
 }
 
+// --- the shared eviction and refill rules ---------------------------
+
+TEST(HighestPeer, InvalidWhenNoPeerHasAPositiveKey) {
+  Rng rng(21);
+  Rng twin(21);
+  const auto zero = [](NodeId) { return std::size_t{0}; };
+  EXPECT_EQ(highest_peer({}, zero, rng), graph::kInvalidNode);
+  EXPECT_EQ(highest_peer({4, 7, 9}, zero, rng), graph::kInvalidNode);
+  // Zero keys never tie, so nothing was drawn.
+  EXPECT_EQ(rng.next_u64(), twin.next_u64());
+}
+
+TEST(HighestPeer, NeverPicksAZeroKeyPeer) {
+  const std::vector<std::size_t> key = {0, 3, 0, 3, 0, 1};
+  const auto by_key = [&key](NodeId p) { return key[p]; };
+  for (std::uint64_t seed = 0; seed < 32; ++seed) {
+    Rng rng(seed);
+    const NodeId pick = highest_peer({0, 1, 2, 3, 4, 5}, by_key, rng);
+    EXPECT_TRUE(pick == 1 || pick == 3) << "seed " << seed;
+  }
+}
+
+TEST(HighestPeer, TiesFollowAReservoirWalkWithOneDrawPerTie) {
+  // Keys 5, 5, 7, 1, 7, 7: the first 7 resets the walk without a draw,
+  // every later equal key draws uniform(ties) once.
+  const std::vector<NodeId> peers = {10, 11, 12, 13, 14, 15};
+  const std::vector<std::size_t> key = {5, 5, 7, 1, 7, 7};
+  const auto by_key = [&](NodeId p) { return key[p - 10]; };
+  std::vector<bool> seen(peers.size(), false);
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    Rng rng(seed);
+    Rng twin(seed);
+    twin.uniform(2);  // 11 ties 10; 12's higher key then wins outright
+    NodeId want = 12;
+    if (twin.uniform(2) == 0) want = 14;  // 14 ties 12
+    if (twin.uniform(3) == 0) want = 15;  // 15 ties both
+    const NodeId got = highest_peer(peers, by_key, rng);
+    EXPECT_EQ(got, want) << "seed " << seed;
+    EXPECT_EQ(rng.next_u64(), twin.next_u64()) << "seed " << seed;
+    seen[got - 10] = true;
+  }
+  EXPECT_TRUE(seen[2] && seen[4] && seen[5]) << "every tied peer can win";
+}
+
+TEST(NonCandidates, ExcludesSelfAndNeighborsDedupsAndKeepsFirstSeenOrder) {
+  Graph g(6);
+  g.add_edge(0, 1);
+  g.add_edge(0, 2);
+  g.add_edge(1, 4);  // 1's list: 0, 4, 3, 2
+  g.add_edge(1, 3);
+  g.add_edge(1, 2);
+  g.add_edge(2, 5);  // 2's list: 0, 1, 5, 4
+  g.add_edge(2, 4);
+  EXPECT_EQ(non_candidates(g, 0), (std::vector<NodeId>{4, 3, 5}));
+  EXPECT_TRUE(non_candidates(Graph(1), 0).empty());
+}
+
 }  // namespace
 }  // namespace onion::core

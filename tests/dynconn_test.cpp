@@ -142,22 +142,6 @@ TEST(DynConn, RemovingNonIsolatedVertexIsRejected) {
   EXPECT_THROW(dc.remove_vertex(0), ContractViolation);
 }
 
-TEST(DynConn, ResetReusesStorageAndClearsState) {
-  DynamicConnectivity dc(8);
-  for (NodeId u = 0; u < 8; ++u) dc.insert_vertex(u);
-  for (NodeId u = 0; u + 1 < 8; ++u) dc.insert_edge(u, u + 1);
-  EXPECT_EQ(dc.components(), 1u);
-  dc.reset(8);
-  EXPECT_EQ(dc.components(), 0u);
-  EXPECT_EQ(dc.num_vertices(), 0u);
-  EXPECT_EQ(dc.num_edges(), 0u);
-  EXPECT_FALSE(dc.tracked(0));
-  dc.insert_vertex(0);
-  dc.insert_vertex(1);
-  dc.insert_edge(0, 1);
-  EXPECT_EQ(dc.largest_component(), 2u);
-}
-
 // ====================================================================
 // Adversarial bridge sequences: worst case for replacement search
 // ====================================================================

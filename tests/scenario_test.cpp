@@ -344,8 +344,9 @@ std::size_t count_kind(const CampaignTrace& trace, TraceEventKind kind) {
 
 TEST(AdaptiveAttacker, LiveRerankIsByteIdenticalToCentralityTakedown) {
   // refresh cadence -> infinity (period 0): the adaptive attacker
-  // re-surveys before every strike, which must reproduce the static
-  // CentralityTakedown event stream and snapshot stream byte-for-byte.
+  // re-surveys before every strike. CentralityTakedown is that ranking
+  // (one code path in the engine), so the event and snapshot streams
+  // match byte-for-byte.
   const RecordedRun centrality = record_run(ranked_takedown_spec(
       71, AttackKind::CentralityTakedown, RankMetric::SampledBetweenness));
   const RecordedRun adaptive = record_run(ranked_takedown_spec(
