@@ -1,6 +1,7 @@
 // Order-statistics bitmap: a Fenwick (binary-indexed) tree over a
-// membership bitset, supporting set/clear/test in O(log n) and select
-// (k-th smallest member) in O(log n). The scenario engine uses one over
+// membership bitset, supporting set/clear/test in O(log n), select
+// (k-th smallest member) in O(log n) and an O(n) bulk assign (the
+// scenario tracker's attach). The scenario engine uses one over
 // the honest-alive slots so that picking a uniform victim at 500k nodes
 // costs a tree walk instead of materializing the full ascending id
 // vector — while drawing the *same* random index, so snapshot streams
@@ -8,9 +9,11 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/fenwick.hpp"
 
 namespace onion {
 
@@ -27,22 +30,25 @@ class OrderStatSet {
     return i < bits_.size() && bits_[i] != 0;
   }
 
-  /// Grows capacity (new slots absent). Appended Fenwick nodes are
-  /// rebuilt from prefix sums, so growth is valid mid-life, not just on
-  /// an empty tree.
+  /// Grows capacity (new slots absent). Valid mid-life, not just on an
+  /// empty set.
   void ensure_size(std::size_t capacity) {
     if (capacity <= bits_.size()) return;
     bits_.resize(capacity, 0);
-    // tree_ is 1-indexed; node i covers (i - lowbit(i), i]. A new node's
-    // span can reach back into old indices, so seed it with the prefix
-    // difference (the new elements themselves contribute 0). No exact
-    // reserve: push_back's geometric growth keeps one-slot grows (one
-    // per joining bot) amortized O(1) instead of copying the tree.
-    if (tree_.empty()) tree_.push_back(0);
-    for (std::size_t i = tree_.size(); i <= capacity; ++i) {
-      const std::size_t low = i & (~i + 1);
-      tree_.push_back(prefix(i - 1) - prefix(i - low));
+    tree_.grow(capacity);
+  }
+
+  /// Replaces the whole set with the members of `bits` (slot i is a
+  /// member iff bits[i] != 0; capacity becomes bits.size()) in O(n),
+  /// where a set() per member would pay O(n log n).
+  void assign(std::vector<std::uint8_t> bits) {
+    bits_ = std::move(bits);
+    count_ = 0;
+    for (std::uint8_t& b : bits_) {
+      b = b != 0 ? 1 : 0;
+      count_ += b;
     }
+    tree_.assign(bits_.size(), [this](std::size_t i) { return bits_[i]; });
   }
 
   void set(std::size_t i) {
@@ -50,7 +56,7 @@ class OrderStatSet {
     if (bits_[i]) return;
     bits_[i] = 1;
     ++count_;
-    update(i + 1, +1);
+    tree_.add(i, 1);
   }
 
   void clear(std::size_t i) {
@@ -58,49 +64,24 @@ class OrderStatSet {
     if (!bits_[i]) return;
     bits_[i] = 0;
     --count_;
-    update(i + 1, -1);
+    tree_.subtract(i, 1);
   }
 
   /// Index of the k-th member (0-based, ascending). Precondition:
   /// k < count(). Equivalent to sorted_members()[k] without building it.
   std::size_t select(std::size_t k) const {
     ONION_EXPECTS_MSG(k < count_, "k=" << k << " count=" << count_);
-    std::size_t pos = 0;
-    std::size_t remaining = k + 1;
-    std::size_t step = 1;
-    while ((step << 1) <= bits_.size()) step <<= 1;
-    for (; step > 0; step >>= 1) {
-      const std::size_t next = pos + step;
-      if (next <= bits_.size() && tree_[next] < remaining) {
-        pos = next;
-        remaining -= tree_[next];
-      }
-    }
-    // pos = largest 1-based prefix length with fewer than k+1 members,
-    // so the hit is 1-based index pos+1, i.e. 0-based slot pos.
-    return pos;
+    return tree_.find(k);
   }
 
   /// Number of members with index < i.
   std::size_t rank(std::size_t i) const {
-    return prefix(i < bits_.size() ? i : bits_.size());
+    return tree_.prefix(i < bits_.size() ? i : bits_.size());
   }
 
  private:
-  std::size_t prefix(std::size_t i) const {  // sum of elements [1..i], 1-based
-    std::size_t s = 0;
-    for (; i > 0; i &= i - 1) s += tree_[i];
-    return s;
-  }
-
-  void update(std::size_t i, int delta) {  // 1-based
-    for (; i < tree_.size(); i += i & (~i + 1))
-      tree_[i] = static_cast<std::size_t>(
-          static_cast<std::int64_t>(tree_[i]) + delta);
-  }
-
   std::vector<std::uint8_t> bits_;
-  std::vector<std::size_t> tree_;  // tree_[0] unused
+  FenwickTree<std::size_t> tree_;
   std::size_t count_ = 0;
 };
 

@@ -16,10 +16,11 @@ OverlayNetwork OverlayNetwork::random_regular(std::size_t n, std::size_t k,
   OverlayNetwork net(config, rng);
   net.reserve(n);
   for (std::size_t i = 0; i < n; ++i) net.add_node(/*honest=*/true);
-  const graph::Graph topology = graph::random_regular(n, k, rng);
-  for (NodeId u = 0; u < n; ++u)
-    for (const NodeId v : topology.neighbors(u))
-      if (u < v) net.graph_.add_edge(u, v);
+  // Adopt the generated graph (same n slots) instead of re-adding its
+  // edges one by one; the reorder gives every list the order that copy
+  // produced.
+  net.graph_ = graph::random_regular(n, k, rng);
+  net.graph_.reorder_as_reinserted();
   return net;
 }
 

@@ -1,6 +1,9 @@
 #include "graph/dynamic_connectivity.hpp"
 
 #include <algorithm>
+#include <bit>
+
+#include "graph/union_find.hpp"
 
 namespace onion::graph {
 
@@ -73,6 +76,90 @@ void DynamicConnectivity::remove_vertex(NodeId u) {
   --num_vertices_;
 }
 
+void DynamicConnectivity::link_pair(std::uint32_t h, NodeId u, NodeId v) {
+  half_to_[h] = v;
+  half_next_[h] = head_half_[u];
+  head_half_[u] = h;
+  half_to_[h + 1] = u;
+  half_next_[h + 1] = head_half_[v];
+  head_half_[v] = h + 1;
+  ++degree_[u];
+  ++degree_[v];
+  ++num_edges_;
+}
+
+void DynamicConnectivity::bulk_load(const Graph& g,
+                                    const std::vector<std::uint8_t>& track) {
+  ONION_EXPECTS(num_vertices_ == 0 && half_to_.empty() &&
+                comp_size_.empty() && track.size() <= g.capacity());
+  ensure_capacity(g.capacity());
+  // Tracked but not yet labelled; never a component id (ids < capacity).
+  constexpr std::uint32_t kUnlabelled = kNil - 1;
+  const auto tracked_slot = [&track](NodeId v) {
+    return v < track.size() && track[v] != 0;
+  };
+  std::size_t pairs = 0;
+  for (NodeId u = 0; u < track.size(); ++u) {
+    if (track[u] == 0) continue;
+    ONION_EXPECTS_MSG(g.alive(u), "tracked slot " << u << " is dead");
+    label_[u] = kUnlabelled;
+    ++num_vertices_;
+    for (const NodeId v : g.neighbors(u))
+      if (v > u && tracked_slot(v)) ++pairs;
+  }
+
+  // Pair 2e for the e-th edge, linked at the list heads: the pool the
+  // incremental build lays out. Union-find over the graph's contiguous
+  // adjacency settles the components; chasing the scattered half-edge
+  // lists instead costs several times more. The incremental build grew
+  // the pool by doubling; reserving the capacity it reached keeps the
+  // first regrowth (a copy of the whole pool) where it was, instead of
+  // at the first insert after the load.
+  half_to_.reserve(std::bit_ceil(2 * pairs));
+  half_next_.reserve(std::bit_ceil(2 * pairs));
+  half_to_.resize(2 * pairs);
+  half_next_.resize(2 * pairs);
+  UnionFind uf(track.size());
+  std::uint32_t h = 0;
+  for (NodeId u = 0; u < track.size(); ++u) {
+    if (track[u] == 0) continue;
+    for (const NodeId v : g.neighbors(u))
+      if (v > u && tracked_slot(v)) {
+        link_pair(h, u, v);
+        h += 2;
+        uf.unite(u, v);
+      }
+  }
+
+  // Label by root; each roster lists its members in ascending order. A
+  // root gets its component id when its first member is seen, which may
+  // be before the root's own turn.
+  for (NodeId u = 0; u < track.size(); ++u) {
+    if (track[u] == 0) continue;
+    const auto root = static_cast<NodeId>(uf.find(u));
+    if (label_[root] == kUnlabelled) label_[root] = alloc_component();
+    const std::uint32_t c = label_[root];
+    label_[u] = c;
+    ++comp_size_[c];
+    if (comp_size_[c] == 1) {
+      comp_head_[c] = u;
+      member_next_[u] = u;
+      member_prev_[u] = u;
+      continue;
+    }
+    const std::uint32_t head = comp_head_[c];
+    const std::uint32_t tail = member_prev_[head];
+    member_next_[tail] = u;
+    member_prev_[u] = tail;
+    member_next_[u] = head;
+    member_prev_[head] = u;
+  }
+  for (const std::uint32_t size : comp_size_) add_size(size);
+  components_ = comp_size_.size();
+  // Each incremental merge joins two components into one.
+  merges_ = num_vertices_ - components_;
+}
+
 void DynamicConnectivity::insert_edge(NodeId u, NodeId v) {
   ONION_EXPECTS_MSG(tracked(u) && tracked(v) && u != v,
                     "u=" << u << " v=" << v);
@@ -86,15 +173,7 @@ void DynamicConnectivity::insert_edge(NodeId u, NodeId v) {
     half_to_.resize(h + 2);
     half_next_.resize(h + 2);
   }
-  half_to_[h] = v;
-  half_next_[h] = head_half_[u];
-  head_half_[u] = h;
-  half_to_[h + 1] = u;
-  half_next_[h + 1] = head_half_[v];
-  head_half_[v] = h + 1;
-  ++degree_[u];
-  ++degree_[v];
-  ++num_edges_;
+  link_pair(h, u, v);
 
   std::uint32_t big = label_[u];
   std::uint32_t small = label_[v];

@@ -65,6 +65,19 @@ class DynamicConnectivity {
   /// graph::Graph::remove_node notifies an observer).
   void remove_vertex(NodeId u);
 
+  /// Bulk load into a fresh structure: tracks every slot u of `g` with
+  /// track[u] != 0 (each must be alive) and every edge of `g` between
+  /// two tracked slots, with one O((n + m)·α) labelling pass. The result
+  /// is the state the incremental build reaches — insert_vertex for each
+  /// tracked slot, then insert_edge(u, v) for every edge by u ascending
+  /// and neighbors(u) order with u < v — down to the half-edge pool:
+  /// the e-th such edge owns pair 2e and every adjacency list has the
+  /// same order, so later replacement searches visit vertices in the
+  /// same order. merges() counts the merges that build would have made.
+  /// Only component ids may differ; no query exposes them.
+  /// Precondition: nothing was ever inserted.
+  void bulk_load(const Graph& g, const std::vector<std::uint8_t>& track);
+
   /// Adds edge {u,v} between tracked vertices; merges their components
   /// if distinct (smaller side relabeled). Precondition: both tracked,
   /// u != v, edge not present.
@@ -118,6 +131,8 @@ class DynamicConnectivity {
   void free_component(std::uint32_t c);
   void add_size(std::uint32_t s);
   void drop_size(std::uint32_t s);
+  /// Links pair h (u->v) / h+1 (v->u) at the heads of both lists.
+  void link_pair(std::uint32_t h, NodeId u, NodeId v);
   /// Detaches the u->v half-edge from u's list; returns its pool index.
   std::uint32_t detach_half(NodeId u, NodeId v);
   /// Relabels `members` (the exhausted BFS side) into a fresh component

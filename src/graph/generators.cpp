@@ -1,9 +1,44 @@
 #include "graph/generators.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
 namespace onion::graph {
+
+ForwardEdgeIndex::ForwardEdgeIndex(const Graph& g) : g_(g) {
+  forward_.assign(g.capacity(), [&g](std::size_t u) {
+    std::size_t count = 0;
+    if (!g.alive(static_cast<NodeId>(u))) return count;
+    for (const NodeId v : g.neighbors(static_cast<NodeId>(u)))
+      if (v > u) ++count;
+    return count;
+  });
+  size_ = g.num_edges();
+}
+
+std::pair<NodeId, NodeId> ForwardEdgeIndex::at(std::size_t i) const {
+  ONION_EXPECTS_MSG(i < size_, "i=" << i << " size=" << size_);
+  const auto u = static_cast<NodeId>(forward_.find(i));
+  std::size_t j = i - forward_.prefix(u);
+  for (const NodeId v : g_.neighbors(u)) {
+    if (v < u) continue;
+    if (j == 0) return {u, v};
+    --j;
+  }
+  ONION_ENSURES_MSG(false, "forward index out of step at node " << u);
+  return {kInvalidNode, kInvalidNode};  // unreachable
+}
+
+void ForwardEdgeIndex::added(NodeId a, NodeId b) {
+  forward_.add(std::min(a, b), 1);
+  ++size_;
+}
+
+void ForwardEdgeIndex::removed(NodeId a, NodeId b) {
+  forward_.subtract(std::min(a, b), 1);
+  --size_;
+}
 
 namespace {
 
@@ -22,34 +57,30 @@ bool try_regular(Graph& g, std::size_t n, std::size_t k, Rng& rng) {
     if (u == v || g.has_edge(u, v)) {
       clashes.emplace_back(u, v);
     } else {
-      g.add_edge(u, v);
+      g.add_edge_unchecked(u, v);
     }
   }
+  if (clashes.empty()) return true;
 
   // Repair each clash {u,v} by stealing a random compatible edge {a,b}:
   // replace it with {u,a} and {v,b}. Preserves all degrees.
-  std::vector<std::pair<NodeId, NodeId>> edges;
-  auto rebuild_edges = [&] {
-    edges.clear();
-    for (NodeId u = 0; u < n; ++u)
-      for (const NodeId v : g.neighbors(u))
-        if (u < v) edges.emplace_back(u, v);
-  };
-  rebuild_edges();
-
+  ForwardEdgeIndex edges(g);
   for (const auto& [u, v] : clashes) {
     bool fixed = false;
     for (int attempt = 0; attempt < 200 && !fixed; ++attempt) {
-      if (edges.empty()) break;
+      if (edges.size() == 0) break;
       auto [a, b] =
-          edges[static_cast<std::size_t>(rng.uniform(edges.size()))];
+          edges.at(static_cast<std::size_t>(rng.uniform(edges.size())));
       if (rng.bernoulli(0.5)) std::swap(a, b);
       if (a == u || a == v || b == u || b == v) continue;
       if (g.has_edge(u, a) || g.has_edge(v, b)) continue;
+      // {u,a} != {v,b}: that would need a == b, or u == b and a == v.
       g.remove_edge(a, b);
-      g.add_edge(u, a);
-      g.add_edge(v, b);
-      rebuild_edges();
+      edges.removed(a, b);
+      g.add_edge_unchecked(u, a);
+      edges.added(u, a);
+      g.add_edge_unchecked(v, b);
+      edges.added(v, b);
       fixed = true;
     }
     if (!fixed) return false;
@@ -66,6 +97,7 @@ Graph random_regular(std::size_t n, std::size_t k, Rng& rng) {
 
   for (int restart = 0; restart < 50; ++restart) {
     Graph g(n);
+    g.reserve_neighbors(k);
     if (try_regular(g, n, k, rng)) return g;
   }
   throw std::runtime_error("random_regular: generation failed repeatedly");

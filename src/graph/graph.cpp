@@ -64,6 +64,31 @@ NodeId Graph::add_node() {
   return id;
 }
 
+void Graph::reserve_neighbors(std::size_t degree) {
+  for (auto& list : adjacency_) list.reserve(degree);
+}
+
+void Graph::reorder_as_reinserted() {
+  ONION_EXPECTS(observer_ == nullptr);
+  std::vector<NodeId> higher;
+  for (NodeId u = 0; u < adjacency_.size(); ++u) {
+    auto& list = adjacency_[u];
+    // Re-insertion pushes u into v's list while visiting each v < u (in
+    // ascending order), then appends u's own forward neighbours.
+    higher.clear();
+    std::size_t lower = 0;
+    for (const NodeId v : list) {
+      if (v < u)
+        list[lower++] = v;
+      else
+        higher.push_back(v);
+    }
+    std::sort(list.begin(), list.begin() + static_cast<std::ptrdiff_t>(lower));
+    std::copy(higher.begin(), higher.end(),
+              list.begin() + static_cast<std::ptrdiff_t>(lower));
+  }
+}
+
 bool Graph::has_edge(NodeId u, NodeId v) const {
   ONION_EXPECTS_MSG(alive(u) && alive(v), "u=" << u << " v=" << v);
   // Scan the shorter list.

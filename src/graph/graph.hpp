@@ -64,6 +64,20 @@ class Graph {
     alive_.reserve(nodes);
   }
 
+  /// Pre-sizes every existing slot's adjacency list for `degree`
+  /// neighbours (capacity hint only). A generator that knows the final
+  /// degrees pays one allocation per node instead of a regrowth chain.
+  void reserve_neighbors(std::size_t degree);
+
+  /// Reorders every adjacency list into the order a fresh graph gets
+  /// when this graph's edges {u,v}, u < v, are re-added by u ascending
+  /// and then in neighbors(u) order: lower-id neighbours ascending,
+  /// then higher-id neighbours in their current relative order. The
+  /// edge set is unchanged; no observer fires and the epoch stays.
+  /// Lets a caller adopt a generated graph instead of copying it edge
+  /// by edge into another one. Precondition: no observer attached.
+  void reorder_as_reinserted();
+
   /// Number of node slots ever created (alive + deleted).
   std::size_t capacity() const { return adjacency_.size(); }
 

@@ -1,5 +1,7 @@
 #include "scenario/tracker.hpp"
 
+#include <utility>
+
 #include "graph/union_find.hpp"
 
 namespace onion::scenario {
@@ -58,28 +60,25 @@ StructuralTracker::StructuralTracker(core::OverlayNetwork& net)
   graph_.set_observer(this);  // throws if another observer is attached
   base_epoch_ = graph_.mutation_epoch();
 
-  // Absorb the current state: the one full pass this tracker ever pays.
+  // Absorb the current state: one pass over the slots for the counts and
+  // the honest mask, then bulk loads of the connectivity structure and
+  // the order-statistics set from that mask.
   const std::size_t cap = graph_.capacity();
-  honest_set_.ensure_size(cap);
+  std::vector<std::uint8_t> honest_alive(cap, 0);
   for (NodeId u = 0; u < cap; ++u) {
     if (!graph_.alive(u)) continue;
     if (!net_.honest(u)) {
       ++sybil_alive_;
       continue;
     }
-    dc_.insert_vertex(u);
-    honest_set_.set(u);
+    honest_alive[u] = 1;
     const std::size_t d = graph_.degree(u);
     degree_sum_ += d;
     if (histogram_.size() <= d) histogram_.resize(d + 1, 0);
     ++histogram_[d];
   }
-  // Edges need both endpoints tracked, hence the second pass.
-  for (NodeId u = 0; u < cap; ++u) {
-    if (!graph_.alive(u) || !net_.honest(u)) continue;
-    for (const NodeId v : graph_.neighbors(u))
-      if (v > u && net_.honest(v)) dc_.insert_edge(u, v);
-  }
+  dc_.bulk_load(graph_, honest_alive);
+  honest_set_.assign(std::move(honest_alive));
 }
 
 StructuralTracker::~StructuralTracker() { graph_.set_observer(nullptr); }

@@ -44,10 +44,14 @@ MetricsSnapshot sweep_structural(const core::OverlayNetwork& net,
                                  bool degree_histogram);
 
 /// Maintains the structural snapshot fields per graph mutation. Attaches
-/// to net.graph_mut() on construction (one O(n+m) pass to absorb the
-/// current state) and detaches in the destructor. One tracker per graph;
-/// nodes must enter through OverlayNetwork::add_node so honesty metadata
-/// exists when the node-added callback classifies them.
+/// to net.graph_mut() on construction and absorbs the current state by
+/// bulk load — one slot pass for the counts, then
+/// DynamicConnectivity::bulk_load and an O(n) OrderStatSet::assign,
+/// which leave the same half-edge layout and counters as inserting the
+/// graph mutation by mutation — and detaches in the destructor. One
+/// tracker per graph; nodes must enter through OverlayNetwork::add_node
+/// so honesty metadata exists when the node-added callback classifies
+/// them.
 class StructuralTracker final : public graph::MutationObserver {
  public:
   using NodeId = graph::NodeId;

@@ -4,10 +4,12 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/check.hpp"
 #include "common/clock.hpp"
+#include "common/fenwick.hpp"
 #include "common/fileio.hpp"
 #include "common/order_stat.hpp"
 #include "common/rng.hpp"
@@ -351,6 +353,71 @@ TEST(OrderStat, MatchesSortedVectorUnderRandomChurn) {
                                           static_cast<std::ptrdiff_t>(k)));
     }
   }
+}
+
+TEST(OrderStat, BulkAssignMatchesSetBySetBuild) {
+  Rng rng(777);
+  for (const std::size_t n : {0u, 1u, 2u, 7u, 64u, 100u, 1000u}) {
+    std::vector<std::uint8_t> bits(n, 0);
+    OrderStatSet reference(n);
+    for (std::size_t i = 0; i < n; ++i)
+      if (rng.uniform(3) != 0) {
+        // Any nonzero byte marks a member.
+        bits[i] = static_cast<std::uint8_t>(1 + rng.uniform(200));
+        reference.set(i);
+      }
+    OrderStatSet bulk;
+    bulk.assign(bits);
+    ASSERT_EQ(bulk.capacity(), n);
+    ASSERT_EQ(bulk.count(), reference.count());
+    for (std::size_t k = 0; k < reference.count(); ++k)
+      ASSERT_EQ(bulk.select(k), reference.select(k)) << "n=" << n;
+    for (std::size_t i = 0; i <= n; ++i) {
+      ASSERT_EQ(bulk.rank(i), reference.rank(i)) << "n=" << n;
+      ASSERT_EQ(bulk.test(i), reference.test(i));
+    }
+
+    // Joins grow the set one slot at a time after the bulk build; the
+    // grown tree must stay exact.
+    for (std::size_t extra = 1; extra <= 40; ++extra) {
+      bulk.ensure_size(n + extra);
+      reference.ensure_size(n + extra);
+      if (rng.uniform(2) == 0) {
+        bulk.set(n + extra - 1);
+        reference.set(n + extra - 1);
+      }
+      if (reference.count() > 0 && rng.uniform(4) == 0) {
+        const std::size_t victim =
+            reference.select(rng.uniform(reference.count()));
+        bulk.clear(victim);
+        reference.clear(victim);
+      }
+      ASSERT_EQ(bulk.count(), reference.count());
+      for (std::size_t k = 0; k < reference.count(); ++k)
+        ASSERT_EQ(bulk.select(k), reference.select(k));
+      ASSERT_EQ(bulk.rank(n + extra), reference.rank(n + extra));
+    }
+  }
+}
+
+TEST(Fenwick, WeightedFindSkipsEmptySlots) {
+  // Weights 0 2 0 0 3 1: units 0-1 sit in slot 1, 2-4 in slot 4, 5 in 5.
+  const std::vector<std::size_t> w = {0, 2, 0, 0, 3, 1};
+  FenwickTree<std::size_t> tree;
+  tree.assign(w.size(), [&w](std::size_t i) { return w[i]; });
+  const std::vector<std::size_t> owner = {1, 1, 4, 4, 4, 5};
+  for (std::size_t k = 0; k < owner.size(); ++k)
+    EXPECT_EQ(tree.find(k), owner[k]) << "unit " << k;
+  EXPECT_THROW(tree.find(6), ContractViolation);
+  EXPECT_EQ(tree.prefix(5), 5u);
+  tree.subtract(4, 3);
+  tree.add(2, 1);
+  EXPECT_EQ(tree.find(2), 2u);
+  EXPECT_EQ(tree.find(3), 5u);
+  tree.grow(9);
+  tree.add(8, 4);
+  EXPECT_EQ(tree.prefix(9), 8u);
+  EXPECT_EQ(tree.find(7), 8u);
 }
 
 TEST(ByteReader, RoundTripsThePutHelpers) {

@@ -9,11 +9,13 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "graph/dynamic_connectivity.hpp"
+#include "graph/graph.hpp"
 #include "graph/union_find.hpp"
 
 namespace onion::graph {
@@ -283,6 +285,136 @@ TEST(DynConnDifferential, CountersAreDeterministic) {
                       dc.components(), dc.largest_component()};
   };
   EXPECT_EQ(run(), run());
+}
+
+// ====================================================================
+// Bulk load vs the incremental build it replaces
+// ====================================================================
+
+/// The incremental build bulk_load must reproduce: tracked vertices
+/// ascending, then every tracked edge by u ascending and neighbors(u).
+void load_incrementally(DynamicConnectivity& dc, const Graph& g,
+                        const std::vector<std::uint8_t>& track) {
+  for (NodeId u = 0; u < track.size(); ++u)
+    if (track[u] != 0) dc.insert_vertex(u);
+  for (NodeId u = 0; u < track.size(); ++u) {
+    if (track[u] == 0) continue;
+    for (const NodeId v : g.neighbors(u))
+      if (v > u && track[v] != 0) dc.insert_edge(u, v);
+  }
+}
+
+void expect_same_state(const DynamicConnectivity& bulk,
+                       const DynamicConnectivity& incremental) {
+  ASSERT_EQ(bulk.num_vertices(), incremental.num_vertices());
+  ASSERT_EQ(bulk.num_edges(), incremental.num_edges());
+  ASSERT_EQ(bulk.components(), incremental.components());
+  ASSERT_EQ(bulk.largest_component(), incremental.largest_component());
+  ASSERT_EQ(bulk.merges(), incremental.merges());
+  ASSERT_EQ(bulk.splits(), incremental.splits());
+  ASSERT_EQ(bulk.search_steps(), incremental.search_steps());
+  ASSERT_EQ(bulk.capacity(), incremental.capacity());
+  for (NodeId u = 0; u < bulk.capacity(); ++u) {
+    ASSERT_EQ(bulk.tracked(u), incremental.tracked(u)) << "slot " << u;
+    if (!bulk.tracked(u)) continue;
+    ASSERT_EQ(bulk.degree(u), incremental.degree(u)) << "slot " << u;
+    ASSERT_EQ(bulk.component_size(u), incremental.component_size(u))
+        << "slot " << u;
+  }
+}
+
+/// A graph with scrambled adjacency order (churned edges), dead slots,
+/// and several components when `p` is small.
+Graph churned_graph(std::size_t n, double p, Rng& rng) {
+  Graph g(n);
+  for (NodeId u = 0; u < n; ++u)
+    for (NodeId v = u + 1; v < n; ++v)
+      if (rng.bernoulli(p)) g.add_edge(v, u);
+  for (int i = 0; i < static_cast<int>(n); ++i) {
+    const NodeId u = static_cast<NodeId>(rng.uniform(n));
+    if (!g.alive(u) || g.degree(u) == 0) continue;
+    g.remove_edge(u, g.neighbors(u)[rng.uniform(g.degree(u))]);
+    const NodeId v = static_cast<NodeId>(rng.uniform(n));
+    if (g.alive(v)) g.add_edge(u, v);
+  }
+  for (int i = 0; i < static_cast<int>(n / 10); ++i) {
+    const NodeId u = static_cast<NodeId>(rng.uniform(n));
+    if (g.alive(u)) g.remove_node(u);
+  }
+  return g;
+}
+
+TEST(DynConnBulkLoad, MatchesIncrementalBuildThroughLaterChurn) {
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const std::size_t n = 40 + rng.uniform(120);
+    const double p = seed % 2 == 0 ? 0.6 / static_cast<double>(n)
+                                    : 6.0 / static_cast<double>(n);
+    const Graph g = churned_graph(n, p, rng);
+    // Sybil slots: alive but untracked (about one in five).
+    std::vector<std::uint8_t> track(n, 0);
+    for (NodeId u = 0; u < n; ++u)
+      track[u] = g.alive(u) && rng.uniform(5) != 0 ? 1 : 0;
+
+    DynamicConnectivity bulk(n);
+    bulk.bulk_load(g, track);
+    DynamicConnectivity incremental(n);
+    load_incrementally(incremental, g, track);
+    ASSERT_NO_FATAL_FAILURE(expect_same_state(bulk, incremental));
+
+    // Same mutations into both: identical search work proves the
+    // half-edge lists are laid out identically.
+    std::vector<std::pair<NodeId, NodeId>> edges;
+    for (NodeId u = 0; u < n; ++u)
+      if (track[u] != 0)
+        for (const NodeId v : g.neighbors(u))
+          if (v > u && track[v] != 0) edges.emplace_back(u, v);
+    for (int op = 0; op < 400; ++op) {
+      const std::uint64_t kind = rng.uniform(100);
+      const NodeId u = static_cast<NodeId>(rng.uniform(n));
+      const NodeId v = static_cast<NodeId>(rng.uniform(n));
+      if (kind < 45 && !edges.empty()) {
+        const std::size_t e = rng.uniform(edges.size());
+        bulk.remove_edge(edges[e].first, edges[e].second);
+        incremental.remove_edge(edges[e].first, edges[e].second);
+        edges.erase(edges.begin() + static_cast<std::ptrdiff_t>(e));
+      } else if (kind < 85) {
+        const auto key = std::make_pair(std::min(u, v), std::max(u, v));
+        if (u == v || !bulk.tracked(u) || !bulk.tracked(v) ||
+            std::find(edges.begin(), edges.end(), key) != edges.end())
+          continue;
+        bulk.insert_edge(u, v);
+        incremental.insert_edge(u, v);
+        edges.push_back(key);
+      } else if (kind < 92) {
+        if (bulk.tracked(u)) continue;
+        bulk.insert_vertex(u);
+        incremental.insert_vertex(u);
+      } else {
+        if (!bulk.tracked(u)) continue;
+        for (std::size_t e = edges.size(); e-- > 0;) {
+          if (edges[e].first != u && edges[e].second != u) continue;
+          bulk.remove_edge(edges[e].first, edges[e].second);
+          incremental.remove_edge(edges[e].first, edges[e].second);
+          edges.erase(edges.begin() + static_cast<std::ptrdiff_t>(e));
+        }
+        bulk.remove_vertex(u);
+        incremental.remove_vertex(u);
+      }
+      ASSERT_NO_FATAL_FAILURE(expect_same_state(bulk, incremental))
+          << "op " << op;
+    }
+    EXPECT_GT(bulk.search_steps(), 0u);
+  }
+}
+
+TEST(DynConnBulkLoad, RequiresAFreshStructure) {
+  const Graph g(3);
+  const std::vector<std::uint8_t> track = {1, 1, 0};
+  DynamicConnectivity dc(3);
+  dc.insert_vertex(2);
+  EXPECT_THROW(dc.bulk_load(g, track), ContractViolation);
 }
 
 }  // namespace

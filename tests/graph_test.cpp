@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
@@ -319,6 +323,153 @@ TEST(Generators, ErdosRenyiExtremes) {
   Rng rng(24);
   EXPECT_EQ(erdos_renyi(10, 0.0, rng).num_edges(), 0u);
   EXPECT_EQ(erdos_renyi(10, 1.0, rng).num_edges(), 45u);
+}
+
+// ---- draw identity of random_regular ---------------------------------
+// The generator used to rebuild the whole edge list after every clash
+// repair and draw the victim edge from it. Every golden depends on those
+// draws, so the list-rebuilding generator lives on here as the
+// reference: the library's generator must reproduce its adjacency and
+// its RNG stream exactly, and the ForwardEdgeIndex must address the same
+// edge as the rebuilt list at every state a repair reaches.
+
+std::vector<std::pair<NodeId, NodeId>> rebuild_edges(const Graph& g) {
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId u = 0; u < g.capacity(); ++u)
+    for (const NodeId v : g.neighbors(u))
+      if (u < v) edges.emplace_back(u, v);
+  return edges;
+}
+
+struct ReferenceRun {
+  int attempts = 0;    // configuration-model attempts (1 = no restart)
+  int repairs = 0;     // clash repairs across all attempts
+  int index_checks = 0;
+};
+
+// Compares the index with the rebuilt list: every position for small
+// graphs, 64 sampled ones (from `probe`, not the generator's stream)
+// for large ones.
+void expect_index_matches(const ForwardEdgeIndex& index,
+                          const std::vector<std::pair<NodeId, NodeId>>& edges,
+                          Rng& probe, ReferenceRun& run) {
+  ASSERT_EQ(index.size(), edges.size());
+  if (edges.empty()) return;
+  const bool every = edges.size() <= 2000;
+  const std::size_t checks = every ? edges.size() : 64;
+  for (std::size_t c = 0; c < checks; ++c) {
+    const std::size_t i =
+        every ? c : static_cast<std::size_t>(probe.uniform(edges.size()));
+    ASSERT_EQ(index.at(i), edges[i]) << "position " << i;
+  }
+  ++run.index_checks;
+}
+
+bool reference_try_regular(Graph& g, std::size_t n, std::size_t k, Rng& rng,
+                           Rng& probe, ReferenceRun& run) {
+  std::vector<NodeId> stubs;
+  for (NodeId u = 0; u < n; ++u)
+    for (std::size_t c = 0; c < k; ++c) stubs.push_back(u);
+  rng.shuffle(stubs);
+  std::vector<std::pair<NodeId, NodeId>> clashes;
+  for (std::size_t i = 0; i < stubs.size(); i += 2) {
+    const NodeId u = stubs[i], v = stubs[i + 1];
+    if (u == v || g.has_edge(u, v)) {
+      clashes.emplace_back(u, v);
+    } else {
+      g.add_edge(u, v);
+    }
+  }
+  std::vector<std::pair<NodeId, NodeId>> edges = rebuild_edges(g);
+  ForwardEdgeIndex index(g);
+  expect_index_matches(index, edges, probe, run);
+  for (const auto& [u, v] : clashes) {
+    bool fixed = false;
+    for (int attempt = 0; attempt < 200 && !fixed; ++attempt) {
+      if (edges.empty()) break;
+      auto [a, b] =
+          edges[static_cast<std::size_t>(rng.uniform(edges.size()))];
+      if (rng.bernoulli(0.5)) std::swap(a, b);
+      if (a == u || a == v || b == u || b == v) continue;
+      if (g.has_edge(u, a) || g.has_edge(v, b)) continue;
+      g.remove_edge(a, b);
+      index.removed(a, b);
+      EXPECT_TRUE(g.add_edge(u, a));
+      index.added(u, a);
+      EXPECT_TRUE(g.add_edge(v, b));
+      index.added(v, b);
+      edges = rebuild_edges(g);
+      expect_index_matches(index, edges, probe, run);
+      ++run.repairs;
+      fixed = true;
+    }
+    if (!fixed) return false;
+  }
+  return true;
+}
+
+Graph reference_random_regular(std::size_t n, std::size_t k, Rng& rng,
+                               ReferenceRun& run) {
+  Rng probe(n * 1000 + k);
+  for (int restart = 0; restart < 50; ++restart) {
+    ++run.attempts;
+    Graph g(n);
+    if (reference_try_regular(g, n, k, rng, probe, run)) return g;
+  }
+  throw std::runtime_error("reference: generation failed repeatedly");
+}
+
+// Same graph, same list order, same next draw — or both give up.
+ReferenceRun expect_draw_identical(std::size_t n, std::size_t k,
+                                   std::uint64_t seed) {
+  SCOPED_TRACE("n=" + std::to_string(n) + " k=" + std::to_string(k) +
+               " seed=" + std::to_string(seed));
+  ReferenceRun run;
+  Rng rng(seed);
+  Rng ref_rng(seed);
+  bool threw = false;
+  bool ref_threw = false;
+  Graph g;
+  Graph ref;
+  try {
+    g = random_regular(n, k, rng);
+  } catch (const std::runtime_error&) {
+    threw = true;
+  }
+  try {
+    ref = reference_random_regular(n, k, ref_rng, run);
+  } catch (const std::runtime_error&) {
+    ref_threw = true;
+  }
+  EXPECT_EQ(threw, ref_threw);
+  EXPECT_EQ(rng.next_u64(), ref_rng.next_u64());
+  if (threw || ref_threw) return run;
+  EXPECT_EQ(g.num_edges(), ref.num_edges());
+  for (NodeId u = 0; u < n; ++u)
+    EXPECT_EQ(g.neighbors(u), ref.neighbors(u)) << "node " << u;
+  return run;
+}
+
+TEST(Generators, RegularMatchesListRebuildingReferenceOverSeeds) {
+  // Sparse paper-like degrees, dense clash-heavy ones (k close to n),
+  // and two larger graphs where the index is probed at sampled ranks.
+  const std::vector<RegularParams> shapes = {
+      {30, 4}, {60, 10}, {100, 15}, {10, 8}, {12, 10}, {16, 12}, {2000, 10},
+      {3000, 15}};
+  int runs = 0;
+  int repairs = 0;
+  int restarted = 0;
+  for (const RegularParams& shape : shapes)
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      const ReferenceRun run = expect_draw_identical(shape.n, shape.k, seed);
+      ++runs;
+      repairs += run.repairs;
+      if (run.attempts > 1) ++restarted;
+      EXPECT_EQ(run.index_checks, run.repairs + run.attempts);
+    }
+  EXPECT_GE(runs, 50);
+  EXPECT_GT(repairs, 1000);   // the repair path is exercised heavily
+  EXPECT_GT(restarted, 0);    // ...and so is the restart path
 }
 
 TEST(Metrics, BfsDistancesOnPath) {

@@ -3,7 +3,10 @@
 // containment metrics.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/overlay.hpp"
+#include "graph/generators.hpp"
 
 namespace onion::core {
 namespace {
@@ -235,6 +238,43 @@ TEST(Overlay, RandomRegularConstruction) {
   for (const NodeId u : net.honest_nodes())
     EXPECT_EQ(net.graph().degree(u), 4u);
   EXPECT_EQ(net.honest_components(), 1u);
+}
+
+TEST(Overlay, RandomRegularAdoptsGeneratedGraphInCopyOrder) {
+  // The overlay adopts the generated graph and reorders its lists in
+  // place. Pin that against the construction it replaced: n honest
+  // add_node calls, then the generated edges {u,v}, u < v, re-added by
+  // u ascending and neighbors(u) order into the overlay's own graph.
+  struct Shape {
+    std::size_t n;
+    std::size_t k;
+  };
+  for (const Shape shape : {Shape{50, 4}, Shape{200, 10}, Shape{30, 8}})
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      SCOPED_TRACE("n=" + std::to_string(shape.n) +
+                   " seed=" + std::to_string(seed));
+      Rng rng(seed);
+      const OverlayNetwork net = OverlayNetwork::random_regular(
+          shape.n, shape.k, band(shape.k, shape.k), rng);
+
+      Rng ref_rng(seed);
+      OverlayNetwork ref(band(shape.k, shape.k), ref_rng);
+      for (std::size_t i = 0; i < shape.n; ++i) ref.add_node(true);
+      const graph::Graph topology =
+          graph::random_regular(shape.n, shape.k, ref_rng);
+      for (NodeId u = 0; u < shape.n; ++u)
+        for (const NodeId v : topology.neighbors(u))
+          if (u < v) ref.graph_mut().add_edge(u, v);
+
+      ASSERT_EQ(net.graph().capacity(), ref.graph().capacity());
+      EXPECT_EQ(net.graph().num_edges(), ref.graph().num_edges());
+      for (NodeId u = 0; u < shape.n; ++u) {
+        EXPECT_EQ(net.neighbors(u), ref.neighbors(u)) << "node " << u;
+        EXPECT_TRUE(net.honest(u));
+        EXPECT_EQ(net.declared_degree(u), ref.declared_degree(u));
+      }
+      EXPECT_EQ(rng.next_u64(), ref_rng.next_u64());
+    }
 }
 
 }  // namespace

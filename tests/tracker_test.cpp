@@ -287,6 +287,27 @@ TEST(Tracker, DetachesOnDestructionSoASuccessorCanAttach) {
   EXPECT_EQ(serialize(s), serialize(sweep_structural(net, true)));
 }
 
+TEST(Tracker, FirstFillOnFreshOverlayMatchesSweep) {
+  // Attach bulk-loads the freshly built overlay; its first snapshot and
+  // its counters must be what the mutation-by-mutation build produced.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    OverlayNetwork net = make_overlay(300, rng);
+    StructuralTracker tracker(net);
+    MetricsSnapshot s;
+    tracker.fill(s, true);
+    EXPECT_EQ(serialize(s), serialize(sweep_structural(net, true)))
+        << "seed " << seed;
+    const graph::DynamicConnectivity& dc = tracker.connectivity();
+    EXPECT_EQ(dc.num_edges(), net.graph().num_edges());
+    EXPECT_EQ(dc.merges(), dc.num_vertices() - dc.components());
+    EXPECT_EQ(dc.splits(), 0u);
+    EXPECT_EQ(dc.search_steps(), 0u);
+    for (std::size_t k = 0; k < 300; ++k)
+      ASSERT_EQ(tracker.honest_at(k), k);
+  }
+}
+
 TEST(Tracker, AbsorbsMidCampaignState) {
   // Attaching to a graph that already lived through churn must start
   // from the current truth, not zero.
