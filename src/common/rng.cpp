@@ -1,5 +1,7 @@
 #include "common/rng.hpp"
 
+#include <unordered_map>
+
 namespace onion {
 
 namespace {
@@ -59,6 +61,29 @@ bool Rng::bernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   return uniform_real() < p;
+}
+
+std::vector<std::size_t> Rng::sample_indices(std::size_t size,
+                                             std::size_t k) {
+  ONION_EXPECTS(k <= size);
+  std::vector<std::size_t> out;
+  out.reserve(k);
+  // displaced[j] holds the value swapped into slot j; a slot with no
+  // entry still holds its own index. Slot i is never read after step i,
+  // so only the swap into slot j is recorded.
+  std::unordered_map<std::size_t, std::size_t> displaced;
+  displaced.reserve(k);
+  const auto value = [&displaced](std::size_t slot) {
+    const auto it = displaced.find(slot);
+    return it == displaced.end() ? slot : it->second;
+  };
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::size_t j = i + static_cast<std::size_t>(uniform(size - i));
+    const std::size_t picked = value(j);
+    displaced[j] = value(i);
+    out.push_back(picked);
+  }
+  return out;
 }
 
 Rng Rng::split() { return Rng(next_u64() ^ 0x5eedb0057ULL); }

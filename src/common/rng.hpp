@@ -63,21 +63,26 @@ class Rng {
     }
   }
 
-  /// k distinct elements sampled without replacement (order randomized).
-  /// Precondition: k <= v.size().
+  /// k distinct ranks of [0, size), drawn by a partial Fisher–Yates
+  /// shuffle of the virtual array 0, 1, ..., size − 1: step i draws
+  /// j = i + uniform(size − i), swaps slots i and j, and emits slot i.
+  /// Exactly k draws, in that order; the i-th rank is the i-th element a
+  /// shuffle of the materialized array would put first. Only displaced
+  /// slots are stored (a hash map of at most k entries), so the cost is
+  /// O(k) expected whatever `size` is. Precondition: k <= size.
+  std::vector<std::size_t> sample_indices(std::size_t size, std::size_t k);
+
+  /// k distinct elements sampled without replacement (order randomized):
+  /// v[r] for each rank r of sample_indices(v.size(), k), so the draws
+  /// and the result are those of a partial Fisher–Yates over a copy of
+  /// v, without making the copy. Precondition: k <= v.size().
   template <typename T>
   std::vector<T> sample(const std::vector<T>& v, std::size_t k) {
-    ONION_EXPECTS(k <= v.size());
-    std::vector<T> pool = v;
-    // Partial Fisher–Yates: the first k slots become the sample.
-    for (std::size_t i = 0; i < k; ++i) {
-      const std::size_t j =
-          i + static_cast<std::size_t>(uniform(pool.size() - i));
-      using std::swap;
-      swap(pool[i], pool[j]);
-    }
-    pool.resize(k);
-    return pool;
+    std::vector<T> out;
+    out.reserve(k);
+    for (const std::size_t r : sample_indices(v.size(), k))
+      out.push_back(v[r]);
+    return out;
   }
 
   /// Derives an independent child generator; used to give each simulation

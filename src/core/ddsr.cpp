@@ -1,20 +1,26 @@
 #include "core/ddsr.hpp"
 
-#include <algorithm>
-
 namespace onion::core {
 
 using graph::NodeId;
 
-std::vector<NodeId> non_candidates(const graph::Graph& g, NodeId u) {
+std::vector<NodeId> non_candidates(const graph::Graph& g, NodeId u,
+                                   std::vector<std::uint8_t>& mark) {
+  if (mark.size() < g.capacity()) mark.resize(g.capacity(), 0);
+  const std::vector<NodeId>& peers = g.neighbors(u);
+  mark[u] = 1;
+  for (const NodeId n : peers) mark[n] = 1;
   std::vector<NodeId> out;
-  for (const NodeId n : g.neighbors(u)) {
+  for (const NodeId n : peers) {
     for (const NodeId nn : g.neighbors(n)) {
-      if (nn == u || g.has_edge(u, nn)) continue;
-      if (std::find(out.begin(), out.end(), nn) == out.end())
-        out.push_back(nn);
+      if (mark[nn]) continue;
+      mark[nn] = 1;
+      out.push_back(nn);
     }
   }
+  mark[u] = 0;
+  for (const NodeId n : peers) mark[n] = 0;
+  for (const NodeId nn : out) mark[nn] = 0;
   return out;
 }
 
@@ -140,7 +146,8 @@ void DdsrEngine::refill_node(NodeId v) {
     while (graph_.degree(u) < policy_.dmin && guard++ < 512) {
       // Nodes with spare capacity are preferred (a full node only
       // accepts by evicting — the bot-level acceptance rule).
-      const std::vector<NodeId> candidates = non_candidates(graph_, u);
+      const std::vector<NodeId> candidates =
+          non_candidates(graph_, u, adjacent_);
       if (candidates.empty()) break;  // NoN exhausted; dmin is best-effort
       std::vector<NodeId> with_capacity;
       for (const NodeId c : candidates)

@@ -82,8 +82,13 @@ graph::NodeId highest_peer(const std::vector<graph::NodeId>& peers, Key key,
 /// NoN refill candidates of `u`: its neighbors' neighbors that are not
 /// `u` and not already adjacent to it, deduplicated, in first-seen order
 /// (bots only know two hops out, so refill never looks further).
+/// `mark` is caller-owned scratch indexed by node slot, all zero between
+/// calls: the scan marks `u` and its neighbors, keeps each unmarked NoN
+/// and marks it, then unmarks exactly what it marked, so a scan costs
+/// O(deg²) with no adjacency test. It grows to g.capacity() if shorter.
 std::vector<graph::NodeId> non_candidates(const graph::Graph& g,
-                                          graph::NodeId u);
+                                          graph::NodeId u,
+                                          std::vector<std::uint8_t>& mark);
 
 /// Counters describing maintenance work done so far.
 struct DdsrStats {
@@ -149,9 +154,10 @@ class DdsrEngine {
   Rng& rng_;
   DdsrStats stats_;
   Connector connect_;  // empty = direct graph mutation
-  /// Scratch adjacency bitmap for repair_clique, kept across calls so
-  /// the unpruned Figure-4 runs (degrees in the thousands) pay O(1) per
-  /// membership test instead of an O(deg) adjacency scan.
+  /// Scratch adjacency bitmap for repair_clique and the NoN scan, kept
+  /// across calls (all zero between them) so the unpruned Figure-4 runs
+  /// (degrees in the thousands) pay O(1) per membership test instead of
+  /// an O(deg) adjacency scan.
   std::vector<std::uint8_t> adjacent_;
 };
 

@@ -106,7 +106,7 @@ PeerDecision OverlayNetwork::request_peering(NodeId requester,
 void OverlayNetwork::refill(NodeId v) {
   if (!graph_.alive(v) || !honest(v)) return;
   while (graph_.degree(v) < config_.dmin) {
-    const std::vector<NodeId> candidates = non_candidates(graph_, v);
+    const std::vector<NodeId> candidates = non_candidates(graph_, v, non_mark_);
     if (candidates.empty()) return;
     const NodeId pick =
         candidates[static_cast<std::size_t>(rng_.uniform(candidates.size()))];

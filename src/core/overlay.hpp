@@ -154,6 +154,7 @@ class OverlayNetwork {
   std::vector<std::uint32_t> declared_;       // kTruthful32 or the lie
   std::vector<std::uint32_t> requests_seen_;  // PoW difficulty escalator
   std::vector<std::uint32_t> accepted_this_round_;
+  std::vector<std::uint8_t> non_mark_;  // non_candidates scratch, all 0
   double sybil_work_ = 0.0;
   double honest_work_ = 0.0;
 };

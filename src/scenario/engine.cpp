@@ -160,14 +160,12 @@ void CampaignEngine::do_join() {
   ++counters_.joins;
   const NodeId id = net_.add_node(/*honest=*/true);
   emit(TraceEventKind::Join, id);
-  std::vector<NodeId> candidates = net_.honest_nodes();
-  std::erase(candidates, id);
-  if (candidates.empty()) return;
-  // Bootstrap peering: ask `degree` random bots. A full target accepts
-  // only by evicting (the degree-0 newcomer always undercuts); the
-  // evicted bot refills from its NoN so the join cannot leave holes.
-  const std::size_t want = std::min(spec_.degree, candidates.size());
-  for (const NodeId target : rng_.sample(candidates, want))
+  if (tracker_.honest_alive() <= 1) return;  // no other bot to ask
+  // Bootstrap peering: ask `degree` random bots, all drawn up front by
+  // honest rank. A full target accepts only by evicting (the degree-0
+  // newcomer always undercuts); the evicted bot refills from its NoN so
+  // the join cannot leave holes.
+  for (const NodeId target : tracker_.join_targets(id, spec_.degree, rng_))
     peer(TraceEventKind::Peering, id, target);
   net_.refill(id);  // top up if some requests were rejected/limited
   if (spec_.churn.session_leaves)

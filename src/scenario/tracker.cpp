@@ -1,5 +1,6 @@
 #include "scenario/tracker.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "graph/union_find.hpp"
@@ -165,6 +166,23 @@ void StructuralTracker::on_edge_removed(NodeId u, NodeId v) {
     // none) right now — no dirty flag, no deferred rebuild.
     dc_.remove_edge(u, v);
   }
+}
+
+std::vector<graph::NodeId> StructuralTracker::join_targets(NodeId newcomer,
+                                                           std::size_t degree,
+                                                           Rng& rng) const {
+  // The newcomer took the highest slot, so it is the last honest rank and
+  // ranks [0, others) are exactly honest_nodes() without it.
+  const std::uint64_t honest = honest_alive();
+  ONION_EXPECTS_MSG(honest > 0 && honest_at(honest - 1) == newcomer,
+                    "join targets: bot " << newcomer
+                                         << " is not the last honest rank");
+  const auto others = static_cast<std::size_t>(honest - 1);
+  std::vector<NodeId> targets;
+  for (const std::size_t r :
+       rng.sample_indices(others, std::min(degree, others)))
+    targets.push_back(honest_at(r));
+  return targets;
 }
 
 void StructuralTracker::fill(MetricsSnapshot& s, bool with_histogram) {

@@ -21,13 +21,17 @@
 //
 // The tracker also keeps an order-statistics bitmap over honest alive
 // slots, so the engine can draw a uniform honest victim in O(log n)
-// (honest_at(k) == honest_nodes()[k] without building the vector).
+// (honest_at(k) == honest_nodes()[k] without building the vector). The
+// same ranks serve join targets: join_targets() walks rng.sample_indices
+// through honest_at, so a bootstrap join costs O(degree · log n) instead
+// of two O(n) copies of the honest population.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "common/order_stat.hpp"
+#include "common/rng.hpp"
 #include "core/overlay.hpp"
 #include "graph/dynamic_connectivity.hpp"
 #include "graph/graph.hpp"
@@ -83,6 +87,14 @@ class StructuralTracker final : public graph::MutationObserver {
   NodeId honest_at(std::uint64_t k) const {
     return static_cast<NodeId>(honest_set_.select(k));
   }
+  /// Bootstrap peering targets of `newcomer`, which must be the highest
+  /// honest id (checked): min(degree, honest_alive() − 1) distinct
+  /// honest bots other than it. Equal, draw for draw and in order, to
+  /// rng.sample(honest_nodes() minus newcomer, want), but each target is
+  /// a rank of rng.sample_indices read through honest_at — O(degree ·
+  /// log n). All draws happen before the first target is returned.
+  std::vector<NodeId> join_targets(NodeId newcomer, std::size_t degree,
+                                   Rng& rng) const;
 
   /// --- introspection (tests and benches) -----------------------------
   /// The underlying connectivity structure (search-step counters etc.).

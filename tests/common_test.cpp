@@ -204,6 +204,71 @@ TEST(Rng, SampleWholeVector) {
   EXPECT_EQ(s, v);
 }
 
+// The pool-copy partial Fisher–Yates that Rng::sample used before
+// sample_indices existed, kept verbatim as the reference for both.
+template <typename T>
+std::vector<T> pool_copy_sample(Rng& rng, const std::vector<T>& v,
+                                std::size_t k) {
+  ONION_EXPECTS(k <= v.size());
+  std::vector<T> pool = v;
+  // Partial Fisher–Yates: the first k slots become the sample.
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::size_t j =
+        i + static_cast<std::size_t>(rng.uniform(pool.size() - i));
+    using std::swap;
+    swap(pool[i], pool[j]);
+  }
+  pool.resize(k);
+  return pool;
+}
+
+TEST(Rng, SampleIndicesMatchPoolCopyDrawForDraw) {
+  for (const std::size_t size : {std::size_t{1}, std::size_t{2},
+                                 std::size_t{7}, std::size_t{1000},
+                                 std::size_t{100000}}) {
+    std::vector<std::size_t> iota(size);
+    for (std::size_t i = 0; i < size; ++i) iota[i] = i;
+    for (const std::size_t k : {std::size_t{0}, std::size_t{1}, size / 2,
+                                size - 1, size}) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        Rng rng(seed * 1000 + size);
+        Rng ref = rng;
+        const std::vector<std::size_t> got = rng.sample_indices(size, k);
+        ASSERT_EQ(got, pool_copy_sample(ref, iota, k))
+            << "size " << size << " k " << k << " seed " << seed;
+        ASSERT_EQ(rng.next_u64(), ref.next_u64())
+            << "size " << size << " k " << k << " seed " << seed;
+      }
+    }
+  }
+}
+
+TEST(Rng, SampleIndicesOfEmptyRangeDrawsNothing) {
+  Rng rng(21);
+  Rng ref = rng;
+  EXPECT_TRUE(rng.sample_indices(0, 0).empty());
+  EXPECT_EQ(rng.next_u64(), ref.next_u64());
+  EXPECT_THROW(rng.sample_indices(3, 4), ContractViolation);
+}
+
+TEST(Rng, SampleMatchesPoolCopyOverArbitraryElements) {
+  for (const std::size_t size : {std::size_t{1}, std::size_t{5},
+                                 std::size_t{333}, std::size_t{100000}}) {
+    std::vector<std::uint32_t> v(size);
+    for (std::size_t i = 0; i < size; ++i)
+      v[i] = static_cast<std::uint32_t>(i * 2654435761u + 17);
+    for (const std::size_t k : {std::size_t{0}, std::size_t{1}, size - 1,
+                                size}) {
+      Rng rng(0x5eed + size + k);
+      Rng ref = rng;
+      ASSERT_EQ(rng.sample(v, k), pool_copy_sample(ref, v, k))
+          << "size " << size << " k " << k;
+      ASSERT_EQ(rng.next_u64(), ref.next_u64())
+          << "size " << size << " k " << k;
+    }
+  }
+}
+
 TEST(Rng, ShufflePreservesMultiset) {
   Rng rng(11);
   std::vector<int> v{1, 2, 3, 4, 5};

@@ -3,7 +3,10 @@
 // degrees with and without pruning.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/ddsr.hpp"
+#include "core/overlay.hpp"
 #include "graph/generators.hpp"
 #include "graph/metrics.hpp"
 
@@ -325,8 +328,79 @@ TEST(NonCandidates, ExcludesSelfAndNeighborsDedupsAndKeepsFirstSeenOrder) {
   g.add_edge(1, 2);
   g.add_edge(2, 5);  // 2's list: 0, 1, 5, 4
   g.add_edge(2, 4);
-  EXPECT_EQ(non_candidates(g, 0), (std::vector<NodeId>{4, 3, 5}));
-  EXPECT_TRUE(non_candidates(Graph(1), 0).empty());
+  std::vector<std::uint8_t> mark;
+  EXPECT_EQ(non_candidates(g, 0, mark), (std::vector<NodeId>{4, 3, 5}));
+  EXPECT_TRUE(non_candidates(Graph(1), 0, mark).empty());
+}
+
+// The has_edge + std::find scan non_candidates ran before its mark array,
+// kept verbatim as the reference.
+std::vector<NodeId> scan_non_candidates(const Graph& g, NodeId u) {
+  std::vector<NodeId> out;
+  for (const NodeId n : g.neighbors(u)) {
+    for (const NodeId nn : g.neighbors(n)) {
+      if (nn == u || g.has_edge(u, nn)) continue;
+      if (std::find(out.begin(), out.end(), nn) == out.end())
+        out.push_back(nn);
+    }
+  }
+  return out;
+}
+
+TEST(NonCandidates, MarkScanMatchesAdjacencyScanOnChurnedOverlays) {
+  // Random sparse and dense overlays, churned so that dead slots, swap-
+  // erased adjacency orders and Sybil clones (declaring degree 1, so
+  // they evict their way in) all occur; one caller array is shared
+  // across overlays, as the engines share theirs across calls.
+  std::vector<std::uint8_t> mark;
+  std::size_t nonempty = 0;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    Rng rng(seed);
+    const std::size_t k = seed % 2 == 0 ? 4 : 10;
+    const std::size_t n =
+        2 * (12 + static_cast<std::size_t>(rng.uniform(30)));
+    OverlayNetwork net = OverlayNetwork::random_regular(
+        n, k, OverlayConfig{.dmin = k, .dmax = k}, rng);
+    for (int step = 0; step < 150; ++step) {
+      const std::vector<NodeId> honest = net.honest_nodes();
+      switch (rng.uniform(4)) {
+        case 0:  // takedown leaves a dead slot
+          if (honest.size() > 4) net.retire(rng.pick(honest));
+          break;
+        case 1: {  // Sybil clone injection
+          const NodeId clone = net.add_node(/*honest=*/false, 1);
+          for (const NodeId t : rng.sample(honest, 3))
+            net.request_peering(clone, t);
+          break;
+        }
+        case 2: {  // a bot forgets a peer, then refills from its NoN
+          const NodeId a = rng.pick(honest);
+          if (net.neighbors(a).empty()) break;
+          const NodeId b = rng.pick(net.neighbors(a));
+          net.drop_edge(a, b);
+          net.refill(a);
+          break;
+        }
+        case 3: {  // honest peering request (may evict)
+          const NodeId a = rng.pick(honest);
+          const NodeId b = rng.pick(honest);
+          if (a != b) net.request_peering(a, b);
+          break;
+        }
+      }
+      const graph::Graph& g = net.graph();
+      for (const NodeId u : g.alive_nodes()) {
+        const std::vector<NodeId> got = non_candidates(g, u, mark);
+        ASSERT_EQ(got, scan_non_candidates(g, u))
+            << "seed " << seed << " step " << step << " node " << u;
+        ASSERT_TRUE(std::all_of(mark.begin(), mark.end(),
+                                [](std::uint8_t m) { return m == 0; }))
+            << "seed " << seed << " step " << step << " node " << u;
+        if (!got.empty()) ++nonempty;
+      }
+    }
+  }
+  EXPECT_GT(nonempty, 0u);
 }
 
 }  // namespace

@@ -31,8 +31,9 @@ using scenario::trace_io::TraceReader;
 using scenario::trace_io::TraceWriter;
 using scenario::trace_io::TraceWriterConfig;
 
-/// High-water RSS of this process in KB (Linux ru_maxrss units).
-std::size_t peak_rss_kb() {
+/// High-water RSS of this process in KB (Linux ru_maxrss units). Only
+/// the Release-only 500k test reads it.
+[[maybe_unused]] std::size_t peak_rss_kb() {
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
   return static_cast<std::size_t>(usage.ru_maxrss);

@@ -8,6 +8,8 @@
 // contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/ddsr.hpp"
 #include "mitigation/soap.hpp"
 #include "scenario/tracker.hpp"
@@ -259,6 +261,92 @@ TEST(TrackerOrderStat, HonestAtMatchesHonestNodesVector) {
       ASSERT_EQ(tracker.honest_at(k), honest[k])
           << "window " << window << " rank " << k;
   }
+}
+
+// The engine's bootstrap draw before join_targets, kept verbatim as the
+// reference: copy honest_nodes(), erase the newcomer, then Rng::sample's
+// former partial Fisher–Yates over a second copy.
+std::vector<NodeId> copied_join_targets(const OverlayNetwork& net, NodeId id,
+                                        Rng& rng) {
+  std::vector<NodeId> candidates = net.honest_nodes();
+  std::erase(candidates, id);
+  if (candidates.empty()) return {};
+  const std::size_t want = std::min(kDegree, candidates.size());
+  std::vector<NodeId> pool = candidates;
+  for (std::size_t i = 0; i < want; ++i) {
+    const std::size_t j =
+        i + static_cast<std::size_t>(rng.uniform(pool.size() - i));
+    using std::swap;
+    swap(pool[i], pool[j]);
+  }
+  pool.resize(want);
+  return pool;
+}
+
+TEST(TrackerOrderStat, JoinTargetsMatchCopiedSampleAcrossChurn) {
+  // Shrink windows (mostly leaves and takedowns) alternate with growth
+  // windows (mostly joins), so joins land on full populations, on ones
+  // smaller than the degree, and on a lone survivor.
+  std::size_t joins = 0;
+  std::size_t short_joins = 0;  // fewer other honest bots than kDegree
+  std::size_t lone_joins = 0;   // the newcomer is the only honest bot
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    Rng rng(seed);
+    OverlayNetwork net = make_overlay(24, rng);
+    DdsrEngine ddsr(net.graph_mut(), policy(), rng);
+    StructuralTracker tracker(net);
+    for (int op = 0; op < 400; ++op) {
+      const bool growing = (op / 50) % 2 == 1;
+      const std::uint64_t roll = rng.uniform(20);
+      const std::uint64_t honest = tracker.honest_alive();
+      if (roll < (growing ? 14u : 3u)) {
+        const NodeId id = net.add_node(/*honest=*/true);
+        Rng ref = rng;
+        const std::vector<NodeId> want = copied_join_targets(net, id, ref);
+        const std::vector<NodeId> got = tracker.join_targets(id, kDegree, rng);
+        ASSERT_EQ(got, want) << "seed " << seed << " op " << op;
+        ASSERT_EQ(rng.next_u64(), ref.next_u64())
+            << "seed " << seed << " op " << op;
+        ++joins;
+        if (honest < kDegree) ++short_joins;
+        if (honest == 0) ++lone_joins;
+        for (const NodeId target : got) {
+          NodeId evicted = graph::kInvalidNode;
+          net.request_peering(id, target, &evicted);
+          if (evicted != graph::kInvalidNode) net.refill(evicted);
+        }
+        if (!got.empty()) net.refill(id);
+      } else if (roll < 17 && honest > 0) {
+        // A leave never takes the last bot; a takedown may.
+        const NodeId bot = tracker.honest_at(rng.uniform(honest));
+        if (roll % 2 == 0 && honest > 1) {
+          ddsr.remove_node(bot);  // healed leave
+        } else {
+          ddsr.remove_node_no_repair(bot);  // takedown
+        }
+      } else if (roll == 17 && honest > 0) {  // Sybil clone injection
+        const NodeId clone = net.add_node(/*honest=*/false, 1);
+        net.request_peering(clone, tracker.honest_at(rng.uniform(honest)));
+      } else if (roll >= 18 && honest > 0) {  // SOAP capture burst
+        mitigation::SoapCampaign soap(net, mitigation::SoapConfig{}, rng);
+        soap.capture(tracker.honest_at(rng.uniform(honest)));
+        for (int step = 0; step < 3 && soap.step(); ++step) {
+        }
+      }
+    }
+  }
+  EXPECT_GT(joins, 1000u);
+  EXPECT_GT(short_joins, 0u);
+  EXPECT_GT(lone_joins, 0u);
+}
+
+TEST(TrackerOrderStat, JoinTargetsRejectANewcomerThatIsNotLast) {
+  Rng rng(14);
+  OverlayNetwork net = make_overlay(20, rng);
+  StructuralTracker tracker(net);
+  const NodeId id = net.add_node(/*honest=*/true);
+  net.add_node(/*honest=*/true);  // a later bot now holds the last rank
+  EXPECT_THROW(tracker.join_targets(id, kDegree, rng), ContractViolation);
 }
 
 // ====================================================================
