@@ -1,11 +1,16 @@
 // Micro-benchmarks for the graph substrate: generation, the DDSR repair
-// operation itself, and the metric estimators used by the figure
-// harnesses (sampled closeness, double-sweep diameter, components).
+// operation itself, the connectivity maintenance behind it, and the
+// metric estimators used by the figure harnesses (sampled closeness,
+// double-sweep diameter, components).
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "core/ddsr.hpp"
+#include "graph/dynamic_connectivity.hpp"
 #include "graph/generators.hpp"
 #include "graph/metrics.hpp"
 
@@ -14,7 +19,9 @@ namespace {
 using onion::Rng;
 using onion::core::DdsrEngine;
 using onion::core::DdsrPolicy;
+using onion::graph::DynamicConnectivity;
 using onion::graph::Graph;
+using onion::graph::NodeId;
 
 void BM_RandomRegular(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -51,6 +58,106 @@ void BM_DdsrRemoveNode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DdsrRemoveNode);
+
+/// Mirrors every mutation of a graph into DynamicConnectivity (the
+/// scenario tracker's connectivity half, without its counts) and times
+/// the edge deletions, which is where the replacement searches run.
+class ConnectivityMirror final : public onion::graph::MutationObserver {
+ public:
+  explicit ConnectivityMirror(Graph& g) : graph_(g) {
+    std::vector<std::uint8_t> track(g.capacity());
+    for (NodeId u = 0; u < g.capacity(); ++u) track[u] = g.alive(u) ? 1 : 0;
+    dc_.bulk_load(g, track);
+    g.set_observer(this);
+  }
+  ~ConnectivityMirror() override { graph_.set_observer(nullptr); }
+  ConnectivityMirror(const ConnectivityMirror&) = delete;
+  ConnectivityMirror& operator=(const ConnectivityMirror&) = delete;
+
+  void on_node_added(NodeId u) override {
+    dc_.ensure_capacity(graph_.capacity());
+    dc_.insert_vertex(u);
+  }
+  void on_node_removed(NodeId u) override { dc_.remove_vertex(u); }
+  void on_edge_added(NodeId u, NodeId v) override { dc_.insert_edge(u, v); }
+  void on_edge_removed(NodeId u, NodeId v) override {
+    const auto start = std::chrono::steady_clock::now();
+    dc_.remove_edge(u, v);
+    remove_ns_ += std::chrono::duration<double, std::nano>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+  }
+
+  std::uint64_t search_steps() const { return dc_.search_steps(); }
+  double remove_ns() const { return remove_ns_; }
+
+ private:
+  Graph& graph_;
+  DynamicConnectivity dc_;
+  double remove_ns_ = 0;
+};
+
+void BM_DynConnRemoveEdge(benchmark::State& state) {
+  // One DDSR deletion per iteration (remove, clique repair, prune,
+  // refill) on a 10-regular 50k overlay whose adjacency has been churned
+  // by 2000 earlier deletions. ns_per_search_step divides the time spent
+  // inside DynamicConnectivity::remove_edge by the BFS vertices it
+  // expanded: the per-step cost of the replacement search.
+  constexpr std::size_t kNodes = 50'000;
+  constexpr std::size_t kWarmup = 2'000;
+  constexpr std::size_t kRemovals = 10'000;  // per overlay, warm-up included
+  DdsrPolicy policy;
+  policy.dmin = 10;
+  policy.dmax = 10;
+  Rng rng(10);
+  std::unique_ptr<Graph> g;
+  std::unique_ptr<ConnectivityMirror> mirror;
+  std::unique_ptr<DdsrEngine> engine;
+  std::vector<NodeId> victims;
+  std::size_t cursor = 0;
+  std::uint64_t steps = 0;
+  double remove_ns = 0;
+  std::uint64_t removals = 0;
+  std::uint64_t steps_at_start = 0;
+  double ns_at_start = 0;
+  const auto settle = [&] {  // fold the finished overlay's totals in
+    if (!mirror) return;
+    steps += mirror->search_steps() - steps_at_start;
+    remove_ns += mirror->remove_ns() - ns_at_start;
+  };
+  const auto build = [&] {
+    settle();
+    engine.reset();
+    mirror.reset();
+    g = std::make_unique<Graph>(onion::graph::random_regular(kNodes, 10, rng));
+    mirror = std::make_unique<ConnectivityMirror>(*g);
+    engine = std::make_unique<DdsrEngine>(*g, policy, rng);
+    victims = g->alive_nodes();
+    rng.shuffle(victims);
+    for (cursor = 0; cursor < kWarmup; ++cursor)
+      engine->remove_node(victims[cursor]);
+    steps_at_start = mirror->search_steps();
+    ns_at_start = mirror->remove_ns();
+  };
+  build();
+  for (auto _ : state) {
+    if (cursor == kRemovals) {
+      state.PauseTiming();
+      build();
+      state.ResumeTiming();
+    }
+    engine->remove_node(victims[cursor++]);
+    ++removals;
+  }
+  settle();
+  state.counters["ns_per_search_step"] =
+      steps == 0 ? 0.0 : remove_ns / static_cast<double>(steps);
+  state.counters["search_steps_per_removal"] =
+      removals == 0
+          ? 0.0
+          : static_cast<double>(steps) / static_cast<double>(removals);
+}
+BENCHMARK(BM_DynConnRemoveEdge)->Unit(benchmark::kMicrosecond);
 
 void BM_ClosenessSampled(benchmark::State& state) {
   Rng rng(4);

@@ -10,12 +10,9 @@ namespace onion::graph {
 void DynamicConnectivity::ensure_capacity(std::size_t capacity) {
   if (capacity <= label_.size()) return;
   label_.resize(capacity, kNil);
-  degree_.resize(capacity, 0);
-  head_half_.resize(capacity, kNil);
+  slot_.resize(capacity);
   member_next_.resize(capacity, kNil);
   member_prev_.resize(capacity, kNil);
-  visit_mark_.resize(capacity, 0);
-  visit_side_.resize(capacity, 0);
 }
 
 std::uint32_t DynamicConnectivity::alloc_component() {
@@ -51,8 +48,6 @@ void DynamicConnectivity::insert_vertex(NodeId u) {
   comp_size_[c] = 1;
   comp_head_[c] = u;
   label_[u] = c;
-  degree_[u] = 0;
-  head_half_[u] = kNil;
   member_next_[u] = u;
   member_prev_[u] = u;
   ++num_vertices_;
@@ -62,8 +57,8 @@ void DynamicConnectivity::insert_vertex(NodeId u) {
 
 void DynamicConnectivity::remove_vertex(NodeId u) {
   ONION_EXPECTS(tracked(u));
-  ONION_EXPECTS_MSG(degree_[u] == 0,
-                    "u=" << u << " still has degree " << degree_[u]);
+  ONION_EXPECTS_MSG(slot_[u].len == 0,
+                    "u=" << u << " still has degree " << slot_[u].len);
   const std::uint32_t c = label_[u];
   // Removing u's last edge already split it into a singleton (the u-side
   // frontier of the replacement search cannot expand), so the component
@@ -71,62 +66,96 @@ void DynamicConnectivity::remove_vertex(NodeId u) {
   ONION_ENSURES(comp_size_[c] == 1 && comp_head_[c] == u);
   drop_size(1);
   free_component(c);
+  release_run(u);
   label_[u] = kNil;
   --components_;
   --num_vertices_;
 }
 
-void DynamicConnectivity::link_pair(std::uint32_t h, NodeId u, NodeId v) {
-  half_to_[h] = v;
-  half_next_[h] = head_half_[u];
-  head_half_[u] = h;
-  half_to_[h + 1] = u;
-  half_next_[h + 1] = head_half_[v];
-  head_half_[v] = h + 1;
-  ++degree_[u];
-  ++degree_[v];
-  ++num_edges_;
+void DynamicConnectivity::release_run(NodeId u) {
+  Slot& s = slot_[u];
+  if (s.cap == 0) return;
+  // A run of capacity c serves class floor(log2 c); exact-fit runs below
+  // the smallest class are never asked for again.
+  const auto k = static_cast<unsigned>(std::bit_width(s.cap)) - 1;
+  if (k >= kMinClass) free_runs_[k].push_back(s.off);
+  s.off = 0;
+  s.cap = 0;
+}
+
+void DynamicConnectivity::push_neighbor(NodeId u, NodeId v) {
+  Slot& s = slot_[u];
+  if (s.len == s.cap) {
+    const unsigned k = std::max(
+        kMinClass, static_cast<unsigned>(std::bit_width(s.cap)));
+    ONION_ENSURES_MSG(k < free_runs_.size(), "u=" << u << " cap=" << s.cap);
+    const std::uint32_t cap = std::uint32_t{1} << k;
+    std::uint32_t off;
+    if (!free_runs_[k].empty()) {
+      off = free_runs_[k].back();
+      free_runs_[k].pop_back();
+    } else {
+      ONION_ENSURES_MSG(slab_.size() + cap <= kNil, "slab full");
+      off = static_cast<std::uint32_t>(slab_.size());
+      slab_.resize(slab_.size() + cap);
+    }
+    std::copy_n(slab_.begin() + s.off, s.len, slab_.begin() + off);
+    release_run(u);
+    s.off = off;
+    s.cap = cap;
+  }
+  slab_[s.off + s.len++] = v;
 }
 
 void DynamicConnectivity::bulk_load(const Graph& g,
                                     const std::vector<std::uint8_t>& track) {
-  ONION_EXPECTS(num_vertices_ == 0 && half_to_.empty() &&
-                comp_size_.empty() && track.size() <= g.capacity());
+  ONION_EXPECTS(num_vertices_ == 0 && slab_.empty() && comp_size_.empty() &&
+                track.size() <= g.capacity());
   ensure_capacity(g.capacity());
   // Tracked but not yet labelled; never a component id (ids < capacity).
   constexpr std::uint32_t kUnlabelled = kNil - 1;
   const auto tracked_slot = [&track](NodeId v) {
     return v < track.size() && track[v] != 0;
   };
-  std::size_t pairs = 0;
+  // Counting pass: each tracked slot's run is exactly its tracked
+  // degree, laid out in slot order.
+  std::size_t total = 0;
   for (NodeId u = 0; u < track.size(); ++u) {
     if (track[u] == 0) continue;
     ONION_EXPECTS_MSG(g.alive(u), "tracked slot " << u << " is dead");
     label_[u] = kUnlabelled;
     ++num_vertices_;
+    std::uint32_t degree = 0;
     for (const NodeId v : g.neighbors(u))
-      if (v > u && tracked_slot(v)) ++pairs;
+      if (tracked_slot(v)) ++degree;
+    slot_[u].off = static_cast<std::uint32_t>(total);
+    slot_[u].cap = degree;
+    total += degree;
   }
+  ONION_ENSURES_MSG(total < kNil, "slab of " << total << " entries");
+  // Relocated runs go to the slab's end; reserving headroom (virtual
+  // until touched) keeps the first relocations from copying the slab.
+  // The floor keeps the block above 32 MiB, where glibc stops adapting
+  // its mmap threshold: freeing a smaller mmapped block raises the
+  // threshold to that block's size, and the process's later mid-size
+  // allocations then stay on its heap (on the 50k replay-grid workload,
+  // a 4 MB slab raised peak RSS from 40.5 to 43.0 MB that way).
+  constexpr std::size_t kReserveFloor =
+      (std::size_t{32} << 20) / sizeof(NodeId) + 1024;
+  slab_.reserve(std::max(2 * total, kReserveFloor));
+  slab_.resize(total);
 
-  // Pair 2e for the e-th edge, linked at the list heads: the pool the
-  // incremental build lays out. Union-find over the graph's contiguous
-  // adjacency settles the components; chasing the scattered half-edge
-  // lists instead costs several times more. The incremental build grew
-  // the pool by doubling; reserving the capacity it reached keeps the
-  // first regrowth (a copy of the whole pool) where it was, instead of
-  // at the first insert after the load.
-  half_to_.reserve(std::bit_ceil(2 * pairs));
-  half_next_.reserve(std::bit_ceil(2 * pairs));
-  half_to_.resize(2 * pairs);
-  half_next_.resize(2 * pairs);
+  // The incremental build's insertion order, appended into exact-fit
+  // runs. Union-find over the graph's contiguous adjacency settles the
+  // components.
   UnionFind uf(track.size());
-  std::uint32_t h = 0;
   for (NodeId u = 0; u < track.size(); ++u) {
     if (track[u] == 0) continue;
     for (const NodeId v : g.neighbors(u))
       if (v > u && tracked_slot(v)) {
-        link_pair(h, u, v);
-        h += 2;
+        slab_[slot_[u].off + slot_[u].len++] = v;
+        slab_[slot_[v].off + slot_[v].len++] = u;
+        ++num_edges_;
         uf.unite(u, v);
       }
   }
@@ -163,17 +192,9 @@ void DynamicConnectivity::bulk_load(const Graph& g,
 void DynamicConnectivity::insert_edge(NodeId u, NodeId v) {
   ONION_EXPECTS_MSG(tracked(u) && tracked(v) && u != v,
                     "u=" << u << " v=" << v);
-  // Carve a twin pair out of the pool (h even, twin = h|1).
-  std::uint32_t h;
-  if (!free_pairs_.empty()) {
-    h = free_pairs_.back();
-    free_pairs_.pop_back();
-  } else {
-    h = static_cast<std::uint32_t>(half_to_.size());
-    half_to_.resize(h + 2);
-    half_next_.resize(h + 2);
-  }
-  link_pair(h, u, v);
+  push_neighbor(u, v);
+  push_neighbor(v, u);
+  ++num_edges_;
 
   std::uint32_t big = label_[u];
   std::uint32_t small = label_[v];
@@ -205,33 +226,32 @@ void DynamicConnectivity::insert_edge(NodeId u, NodeId v) {
   ++merges_;
 }
 
-std::uint32_t DynamicConnectivity::detach_half(NodeId u, NodeId v) {
-  std::uint32_t prev = kNil;
-  for (std::uint32_t h = head_half_[u]; h != kNil;
-       prev = h, h = half_next_[h]) {
-    if (half_to_[h] != v) continue;
-    if (prev == kNil)
-      head_half_[u] = half_next_[h];
-    else
-      half_next_[prev] = half_next_[h];
-    return h;
-  }
-  ONION_ENSURES_MSG(false, "edge " << u << "-" << v << " not present");
-  return kNil;  // unreachable
+void DynamicConnectivity::erase_neighbor(NodeId u, NodeId v) {
+  Slot& s = slot_[u];
+  const auto run = slab_.begin() + s.off;
+  const auto end = run + s.len;
+  const auto it = std::find(run, end, v);
+  ONION_ENSURES_MSG(it != end, "edge " << u << "-" << v << " not present");
+  std::copy(it + 1, end, it);
+  --s.len;
 }
 
 bool DynamicConnectivity::expand(std::vector<NodeId>& queue,
-                                 std::size_t& head, std::uint8_t side) {
+                                 std::size_t& head, std::uint32_t side) {
   const NodeId x = queue[head++];
   ++search_steps_;
-  for (std::uint32_t h = head_half_[x]; h != kNil; h = half_next_[h]) {
-    const NodeId w = half_to_[h];
-    if (visit_mark_[w] == epoch_) {
-      if (visit_side_[w] != side) return true;  // frontiers met
+  const std::uint32_t claimed = epoch_ << 1;
+  const Slot& s = slot_[x];
+  const NodeId* const run = slab_.data() + s.off;
+  // Newest neighbour first: the run's back.
+  for (std::uint32_t i = s.len; i-- > 0;) {
+    const NodeId w = run[i];
+    std::uint32_t& visit = slot_[w].visit;
+    if ((visit & ~1u) == claimed) {
+      if ((visit & 1u) != side) return true;  // frontiers met
       continue;
     }
-    visit_mark_[w] = epoch_;
-    visit_side_[w] = side;
+    visit = claimed | side;
     queue.push_back(w);
   }
   return false;
@@ -279,30 +299,24 @@ void DynamicConnectivity::split_component(const std::vector<NodeId>& members,
 void DynamicConnectivity::remove_edge(NodeId u, NodeId v) {
   ONION_EXPECTS_MSG(tracked(u) && tracked(v) && u != v,
                     "u=" << u << " v=" << v);
-  const std::uint32_t hu = detach_half(u, v);
-  const std::uint32_t hv = detach_half(v, u);
-  ONION_ENSURES((hu ^ 1u) == hv);
-  free_pairs_.push_back(hu & ~1u);
-  --degree_[u];
-  --degree_[v];
+  erase_neighbor(u, v);
+  erase_neighbor(v, u);
   --num_edges_;
 
   // Replacement-path search: alternate one-vertex BFS expansions from
   // both endpoints. Meeting ⇒ the edge was cycle-covered, nothing to do;
   // one side exhausting ⇒ it was a bridge and the exhausted (smaller, to
   // within one alternation) side becomes a new component.
-  if (++epoch_ == 0) {  // epoch wrapped: invalidate stale marks
-    std::fill(visit_mark_.begin(), visit_mark_.end(), 0u);
+  if (++epoch_ == kEpochLimit) {  // epoch wrapped: invalidate stale marks
+    for (Slot& s : slot_) s.visit = 0;
     epoch_ = 1;
   }
   queue_a_.clear();
   queue_b_.clear();
   queue_a_.push_back(u);
-  visit_mark_[u] = epoch_;
-  visit_side_[u] = 0;
+  slot_[u].visit = epoch_ << 1;
   queue_b_.push_back(v);
-  visit_mark_[v] = epoch_;
-  visit_side_[v] = 1;
+  slot_[v].visit = (epoch_ << 1) | 1u;
   std::size_t head_a = 0;
   std::size_t head_b = 0;
   while (true) {

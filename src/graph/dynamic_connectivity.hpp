@@ -23,15 +23,24 @@
 // from-scratch union-find sweeps over randomized add/delete
 // interleavings, which is the contract the scenario tracker needs.
 //
-// Memory layout is struct-of-arrays over node slots with a pooled
-// half-edge adjacency (one flat pool, free-list reuse, no per-vertex
-// heap blocks), so a 500k–1M node overlay costs a handful of flat
-// vectors instead of a million tiny allocations. Determinism: no
-// randomness, no unordered-container iteration — adjacency iterates in
-// pool order, component sizes live in an ordered std::map — so every
-// derived quantity is a pure function of the operation sequence.
+// Memory layout is struct-of-arrays over node slots, and each vertex's
+// neighbours sit in one contiguous run of a single flat slab (no
+// per-vertex heap blocks), so a 500k–1M node overlay costs a handful of
+// flat vectors instead of a million tiny allocations. A search step
+// reads the expanded vertex's run from one or two cache lines, and each
+// neighbour's visit check loads a 16-byte slot record that also holds
+// that neighbour's run offset and length. A run keeps its newest
+// neighbour last and is iterated back to front (newest first); a
+// deletion erases in place without reordering the rest. That is the
+// visit order of a LIFO adjacency list, so search work is independent
+// of where runs sit in the slab.
+// Determinism: no randomness, no unordered-container iteration —
+// adjacency iterates in run order, component sizes live in an ordered
+// std::map — so every derived quantity is a pure function of the
+// operation sequence.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -70,11 +79,13 @@ class DynamicConnectivity {
   /// two tracked slots, with one O((n + m)·α) labelling pass. The result
   /// is the state the incremental build reaches — insert_vertex for each
   /// tracked slot, then insert_edge(u, v) for every edge by u ascending
-  /// and neighbors(u) order with u < v — down to the half-edge pool:
-  /// the e-th such edge owns pair 2e and every adjacency list has the
-  /// same order, so later replacement searches visit vertices in the
-  /// same order. merges() counts the merges that build would have made.
-  /// Only component ids may differ; no query exposes them.
+  /// and neighbors(u) order with u < v — down to the run order: every
+  /// vertex's neighbour run holds the same neighbours in the same order,
+  /// so later replacement searches visit vertices in the same order.
+  /// Runs are laid out exact-fit in slot order, in one allocation.
+  /// merges() counts the merges that build would have made. Only
+  /// component ids and run placement may differ; no query exposes
+  /// component ids, and placement only shows in slab_size().
   /// Precondition: nothing was ever inserted.
   void bulk_load(const Graph& g, const std::vector<std::uint8_t>& track);
 
@@ -96,7 +107,7 @@ class DynamicConnectivity {
   /// Tracked-edge degree of a tracked vertex.
   std::size_t degree(NodeId u) const {
     ONION_EXPECTS(tracked(u));
-    return degree_[u];
+    return slot_[u].len;
   }
   std::uint64_t num_vertices() const { return num_vertices_; }
   std::uint64_t num_edges() const { return num_edges_; }
@@ -123,40 +134,59 @@ class DynamicConnectivity {
   /// cost of all remove_edge calls so far (tests bound this; the bench
   /// reports it per deletion window).
   std::uint64_t search_steps() const { return search_steps_; }
+  /// Slab entries ever laid out: live runs, their unused tails, and
+  /// released runs waiting on a free list. Bounded under churn because
+  /// released runs are reused by capacity class (tests assert it).
+  std::size_t slab_size() const { return slab_.size(); }
 
  private:
   static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+  /// Smallest relocated run: 2^kMinClass neighbours.
+  static constexpr unsigned kMinClass = 2;
+  /// Epochs wrap here: the visit word stores epoch·2 + side in 32 bits.
+  static constexpr std::uint32_t kEpochLimit = std::uint32_t{1} << 31;
+
+  /// Per-slot record, 16 bytes: four share a cache line, and the visit
+  /// check on a neighbour brings in that neighbour's run offset and
+  /// length on the same line.
+  struct Slot {
+    std::uint32_t off = 0;    // first slab entry of the neighbour run
+    std::uint32_t len = 0;    // tracked-edge degree (run entries in use)
+    std::uint32_t cap = 0;    // run capacity; 0 = no run
+    std::uint32_t visit = 0;  // BFS epoch·2 + side of the last claim
+  };
 
   std::uint32_t alloc_component();
   void free_component(std::uint32_t c);
   void add_size(std::uint32_t s);
   void drop_size(std::uint32_t s);
-  /// Links pair h (u->v) / h+1 (v->u) at the heads of both lists.
-  void link_pair(std::uint32_t h, NodeId u, NodeId v);
-  /// Detaches the u->v half-edge from u's list; returns its pool index.
-  std::uint32_t detach_half(NodeId u, NodeId v);
+  /// Appends v as u's newest neighbour, moving u's run to the next
+  /// power-of-two capacity class first if it is full.
+  void push_neighbor(NodeId u, NodeId v);
+  /// Returns u's run to the free list of its capacity class.
+  void release_run(NodeId u);
+  /// Erases v from u's run, keeping the order of the rest.
+  void erase_neighbor(NodeId u, NodeId v);
   /// Relabels `members` (the exhausted BFS side) into a fresh component
   /// split off from `old_comp`.
   void split_component(const std::vector<NodeId>& members,
                        std::uint32_t old_comp);
   /// One BFS expansion step; returns true when the other side was hit.
   bool expand(std::vector<NodeId>& queue, std::size_t& head,
-              std::uint8_t side);
+              std::uint32_t side);
 
   // Slot tables (struct-of-arrays; index = NodeId).
   std::vector<std::uint32_t> label_;        // component id, kNil = untracked
-  std::vector<std::uint32_t> degree_;       // tracked-edge degree
-  std::vector<std::uint32_t> head_half_;    // first half-edge, kNil = none
+  std::vector<Slot> slot_;                  // neighbour run + visit word
   std::vector<std::uint32_t> member_next_;  // circular component roster
   std::vector<std::uint32_t> member_prev_;
-  std::vector<std::uint32_t> visit_mark_;   // BFS epoch stamp
-  std::vector<std::uint8_t> visit_side_;    // which frontier claimed it
 
-  // Pooled half-edge adjacency: half-edges 2e and 2e+1 are twins
-  // (twin(h) == h ^ 1); deleted pairs go on a free list for reuse.
-  std::vector<std::uint32_t> half_to_;
-  std::vector<std::uint32_t> half_next_;
-  std::vector<std::uint32_t> free_pairs_;
+  // Neighbour runs. A released run of capacity c goes on
+  // free_runs_[floor(log2 c)] and is handed to the next run that needs
+  // that class; runs only ever grow to powers of two, so only
+  // bulk_load's exact-fit runs lose their tail to the rounding.
+  std::vector<NodeId> slab_;
+  std::array<std::vector<std::uint32_t>, 32> free_runs_;
 
   // Component records (index = component id, free-listed).
   std::vector<std::uint32_t> comp_size_;
