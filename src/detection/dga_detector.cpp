@@ -44,31 +44,31 @@ std::vector<DgaFeatures> dga_features(const TrafficTrace& trace) {
 
   std::vector<DgaFeatures> out;
   out.reserve(per_host.size());
-  for (const auto& [host, a] : per_host) {
-    DgaFeatures f;
-    f.host = host;
-    f.queries = a.queries;
-    f.nxdomain_ratio =
-        static_cast<double>(a.nxdomain) / static_cast<double>(a.queries);
-    f.failed_name_entropy =
-        a.nxdomain == 0
-            ? 0.0
-            : a.failed_entropy_sum / static_cast<double>(a.nxdomain);
-    out.push_back(f);
-  }
+  for (const auto& [host, a] : per_host)
+    out.push_back({host, a.queries,
+                   static_cast<double>(a.nxdomain) /
+                       static_cast<double>(a.queries),
+                   a.nxdomain == 0 ? 0.0
+                                   : a.failed_entropy_sum /
+                                         static_cast<double>(a.nxdomain)});
   return out;
 }
 
-DetectionResult detect_dga(const TrafficTrace& trace,
-                           const DgaDetectorConfig& config) {
+DetectionResult flag_dga(const std::vector<DgaFeatures>& features,
+                         const DgaDetectorConfig& config) {
   DetectionResult result;
-  for (const DgaFeatures& f : dga_features(trace)) {
+  for (const DgaFeatures& f : features) {
     if (f.queries < config.min_queries) continue;
     if (f.nxdomain_ratio < config.nxdomain_ratio_threshold) continue;
     if (f.failed_name_entropy < config.entropy_threshold) continue;
     result.flagged.push_back(f.host);
   }
   return result;
+}
+
+DetectionResult detect_dga(const TrafficTrace& trace,
+                           const DgaDetectorConfig& config) {
+  return flag_dga(dga_features(trace), config);
 }
 
 }  // namespace onion::detection

@@ -41,10 +41,16 @@ struct DgaFeatures {
 /// public-suffix part carries no signal and would dilute it).
 double name_entropy(const std::string& qname);
 
-/// Computes features for every host with at least one query.
+/// Computes features for every host with at least one query, in
+/// ascending host order.
 std::vector<DgaFeatures> dga_features(const TrafficTrace& trace);
 
-/// Flags hosts per the config thresholds.
+/// The threshold rule: flags hosts per the config thresholds, ascending.
+/// One feature pass serves every threshold a sweep evaluates.
+DetectionResult flag_dga(const std::vector<DgaFeatures>& features,
+                         const DgaDetectorConfig& config);
+
+/// flag_dga(dga_features(trace), config).
 DetectionResult detect_dga(const TrafficTrace& trace,
                            const DgaDetectorConfig& config = {});
 

@@ -1,62 +1,55 @@
 #include "detection/fastflux_detector.hpp"
 
-#include <algorithm>
 #include <map>
-#include <set>
+#include <string_view>
 
 namespace onion::detection {
 
+bool is_fluxed(const FluxFeatures& f, const FluxDetectorConfig& config) {
+  return f.answers >= config.min_answers &&
+         f.distinct_ips > config.distinct_ips_threshold &&
+         f.mean_ttl < config.ttl_threshold;
+}
+
 std::vector<FluxFeatures> flux_features(const TrafficTrace& trace) {
   struct Accum {
-    std::set<std::uint32_t> ips;
-    std::size_t answers = 0;
+    std::vector<std::uint32_t> ips;
+    std::vector<HostId> clients;
     double ttl_sum = 0.0;
   };
-  std::map<std::string, Accum> per_name;
+  std::map<std::string_view, Accum> per_name;
   for (const DnsRecord& r : trace.dns) {
     if (r.nxdomain) continue;
     Accum& a = per_name[r.qname];
-    ++a.answers;
-    a.ips.insert(r.resolved);
+    a.ips.push_back(r.resolved);
+    a.clients.push_back(r.client);
     a.ttl_sum += static_cast<double>(r.ttl);
   }
 
   std::vector<FluxFeatures> out;
   out.reserve(per_name.size());
-  for (const auto& [name, a] : per_name) {
-    FluxFeatures f;
-    f.qname = name;
-    f.answers = a.answers;
-    f.distinct_ips = a.ips.size();
-    f.mean_ttl = a.ttl_sum / static_cast<double>(a.answers);
-    out.push_back(f);
-  }
+  for (auto& [name, a] : per_name)
+    out.push_back({std::string(name), a.clients.size(),
+                   sorted_unique(std::move(a.ips)).size(),
+                   a.ttl_sum / static_cast<double>(a.clients.size()),
+                   sorted_unique(std::move(a.clients))});
   return out;
 }
 
-std::vector<std::string> fluxed_domains(const TrafficTrace& trace,
-                                        const FluxDetectorConfig& config) {
-  std::vector<std::string> out;
-  for (const FluxFeatures& f : flux_features(trace)) {
-    if (f.answers < config.min_answers) continue;
-    if (f.distinct_ips <= config.distinct_ips_threshold) continue;
-    if (f.mean_ttl >= config.ttl_threshold) continue;
-    out.push_back(f.qname);
-  }
-  return out;
+DetectionResult flag_fastflux(const std::vector<FluxFeatures>& features,
+                              const FluxDetectorConfig& config) {
+  DetectionResult result;
+  for (const FluxFeatures& f : features)
+    if (is_fluxed(f, config))
+      result.flagged.insert(result.flagged.end(), f.clients.begin(),
+                            f.clients.end());
+  result.flagged = sorted_unique(std::move(result.flagged));
+  return result;
 }
 
 DetectionResult detect_fastflux(const TrafficTrace& trace,
                                 const FluxDetectorConfig& config) {
-  const std::vector<std::string> bad = fluxed_domains(trace, config);
-  const std::set<std::string> bad_set(bad.begin(), bad.end());
-
-  DetectionResult result;
-  std::set<HostId> flagged;
-  for (const DnsRecord& r : trace.dns)
-    if (!r.nxdomain && bad_set.count(r.qname) > 0) flagged.insert(r.client);
-  result.flagged.assign(flagged.begin(), flagged.end());
-  return result;
+  return flag_fastflux(flux_features(trace), config);
 }
 
 }  // namespace onion::detection

@@ -30,16 +30,25 @@ struct FluxFeatures {
   std::size_t answers = 0;
   std::size_t distinct_ips = 0;
   double mean_ttl = 0.0;
+  /// Hosts that got an answer for this name: ascending, unique.
+  std::vector<HostId> clients;
 };
 
-/// Computes features for every name with at least one answered query.
+/// Computes features for every name with at least one answered query,
+/// in ascending name order.
 std::vector<FluxFeatures> flux_features(const TrafficTrace& trace);
 
-/// Names judged fluxed under the config.
-std::vector<std::string> fluxed_domains(const TrafficTrace& trace,
-                                        const FluxDetectorConfig& config = {});
+/// The per-name rule: enough answers, more distinct addresses than the
+/// threshold, and a mean TTL under it.
+bool is_fluxed(const FluxFeatures& f, const FluxDetectorConfig& config);
 
-/// Flags every host that queried a fluxed name.
+/// The threshold rule: flags every host that got an answer for a fluxed
+/// name (the union of those names' clients), ascending. One feature pass
+/// serves every threshold a sweep evaluates, with no second DNS scan.
+DetectionResult flag_fastflux(const std::vector<FluxFeatures>& features,
+                              const FluxDetectorConfig& config);
+
+/// flag_fastflux(flux_features(trace), config).
 DetectionResult detect_fastflux(const TrafficTrace& trace,
                                 const FluxDetectorConfig& config = {});
 

@@ -1,16 +1,16 @@
 #include "detection/flow_detector.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <map>
-#include <set>
 #include <utility>
 
 #include "common/check.hpp"
+#include "detection/tor_flagger.hpp"
 
 namespace onion::detection {
 
-double coefficient_of_variation(const std::vector<double>& xs) {
+double coefficient_of_variation(std::span<const double> xs) {
   if (xs.size() < 2) return 0.0;
   double sum = 0.0;
   for (const double x : xs) sum += x;
@@ -22,62 +22,83 @@ double coefficient_of_variation(const std::vector<double>& xs) {
   return std::sqrt(var) / mean;
 }
 
-std::vector<ChannelFeatures> channel_features(const TrafficTrace& trace,
-                                              std::size_t min_flows) {
-  struct Series {
-    std::vector<double> sizes;
-    std::vector<double> times;
-  };
-  std::map<std::pair<HostId, HostId>, Series> channels;
-  for (const FlowRecord& f : trace.flows) {
-    Series& s = channels[{f.src, f.dst}];
-    s.sizes.push_back(static_cast<double>(f.bytes));
-    s.times.push_back(static_cast<double>(f.at));
+const std::vector<ChannelFeatures>& ChannelPass::run(
+    std::span<const FlowRecord> flows) {
+  // Number the channels by first arrival through an open-addressing
+  // table from dst to channel, at most half full.
+  constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
+  const std::size_t mask = std::bit_ceil(2 * flows.size() + 1) - 1;
+  table_.assign(mask + 1, kEmpty);
+  channel_.resize(flows.size());
+  out_.clear();
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    const HostId dst = flows[i].dst;
+    std::size_t h = (dst * 0x9e3779b97f4a7c15ull >> 32) & mask;
+    while (table_[h] != kEmpty && out_[table_[h]].dst != dst)
+      h = (h + 1) & mask;
+    if (table_[h] == kEmpty) {
+      table_[h] = static_cast<std::uint32_t>(out_.size());
+      out_.push_back({flows[i].src, dst, 0, 0.0, 0.0});
+    }
+    channel_[i] = table_[h];
+    ++out_[channel_[i]].flows;
   }
-
-  std::vector<ChannelFeatures> out;
-  for (auto& [key, s] : channels) {
-    if (s.sizes.size() < min_flows) continue;
-    std::sort(s.times.begin(), s.times.end());
-    std::vector<double> gaps;
-    gaps.reserve(s.times.size() - 1);
-    for (std::size_t i = 1; i < s.times.size(); ++i)
-      gaps.push_back(s.times[i] - s.times[i - 1]);
-
-    ChannelFeatures f;
-    f.src = key.first;
-    f.dst = key.second;
-    f.flows = s.sizes.size();
-    f.size_cv = coefficient_of_variation(s.sizes);
-    f.gap_cv = coefficient_of_variation(gaps);
-    out.push_back(f);
+  // A counting sort by channel: each channel's sizes and times land in
+  // one run, in arrival order.
+  next_.assign(1, 0);
+  for (const ChannelFeatures& c : out_) next_.push_back(next_.back() + c.flows);
+  sizes_.resize(flows.size());
+  times_.resize(flows.size());
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    const std::size_t at = next_[channel_[i]]++;
+    sizes_[at] = static_cast<double>(flows[i].bytes);
+    times_[at] = static_cast<double>(flows[i].at);
   }
-  return out;
+  // The scatter advanced next_[c] to the end of channel c's run.
+  for (std::size_t c = 0, first = 0; c < out_.size(); first = next_[c++]) {
+    const std::span<double> times(times_.data() + first, next_[c] - first);
+    std::sort(times.begin(), times.end());
+    gaps_.clear();
+    for (std::size_t i = 1; i < times.size(); ++i)
+      gaps_.push_back(times[i] - times[i - 1]);
+    out_[c].size_cv = coefficient_of_variation(
+        std::span<const double>(sizes_.data() + first, times.size()));
+    out_[c].gap_cv = coefficient_of_variation(gaps_);
+  }
+  return out_;
 }
 
 DetectionResult detect_beacons(const TrafficTrace& trace,
                                const FlowDetectorConfig& config) {
-  DetectionResult result;
-  std::set<HostId> flagged;
-  for (const ChannelFeatures& f :
-       channel_features(trace, config.min_flows)) {
-    if (f.size_cv < config.size_cv_threshold &&
-        f.gap_cv < config.gap_cv_threshold)
-      flagged.insert(f.src);
-  }
-  result.flagged.assign(flagged.begin(), flagged.end());
-  return result;
+  FlowScorer scorer({{config}, {}});
+  feed_trace(trace, scorer);
+  scorer.finish();
+  return {scorer.flagged().front()};
+}
+
+DetectionResult detect_tor_users(const TrafficTrace& trace,
+                                 std::size_t min_flows) {
+  FlowScorer scorer({{}, {min_flows}});
+  feed_trace(trace, scorer);
+  scorer.finish();
+  return {scorer.flagged().front()};
 }
 
 std::uint64_t feed_trace(const TrafficTrace& trace, FlowSink& sink) {
   sink.on_relays(trace.known_tor_relays);
-  // Grouping is by ascending source id (std::map), so the feed order is
+  // Grouping is by ascending source id, so the feed order is
   // deterministic regardless of emission interleaving.
-  std::map<HostId, std::vector<const FlowRecord*>> by_src;
-  for (const FlowRecord& f : trace.flows) by_src[f.src].push_back(&f);
-  for (const auto& [src, records] : by_src) {
-    for (const FlowRecord* f : records) sink.on_flow(*f);
-    sink.on_host_done(src);
+  ONION_EXPECTS(trace.flows.size() <= 0xffffffffu);
+  std::vector<std::pair<HostId, std::uint32_t>> by_src(trace.flows.size());
+  for (std::uint32_t i = 0; i < by_src.size(); ++i)
+    by_src[i] = {trace.flows[i].src, i};
+  std::stable_sort(
+      by_src.begin(), by_src.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (std::size_t i = 0; i < by_src.size(); ++i) {
+    sink.on_flow(trace.flows[by_src[i].second]);
+    if (i + 1 == by_src.size() || by_src[i + 1].first != by_src[i].first)
+      sink.on_host_done(by_src[i].first);
   }
   return trace.flows.size();
 }
@@ -88,57 +109,60 @@ FlowScorer::FlowScorer(FlowScorerConfig config)
                config_.tor_min_flows.size()) {}
 
 void FlowScorer::on_relays(const std::vector<HostId>& relays) {
-  relays_ = std::set<HostId>(relays.begin(), relays.end());
+  relays_ = sorted_unique(relays);
 }
 
 void FlowScorer::on_flow(const FlowRecord& f) {
   ONION_EXPECTS(!finished_);
-  Series& s = channels_[{f.src, f.dst}];
-  s.sizes.push_back(static_cast<double>(f.bytes));
-  s.times.push_back(static_cast<double>(f.at));
+  open_.push_back(f);
   ++flows_;
 }
 
-void FlowScorer::on_host_done(HostId host) { finalize_host(host); }
+void FlowScorer::on_host_done(HostId host) {
+  // Moves `host`'s flows to the front, both parts in arrival order. A
+  // grouped stream holds only `host`'s flows, so nothing moves.
+  const auto end = std::stable_partition(
+      open_.begin(), open_.end(),
+      [&](const FlowRecord& f) { return f.src == host; });
+  score_host({open_.begin(), end});
+  open_.erase(open_.begin(), end);
+}
 
-void FlowScorer::finalize_host(HostId host) {
+void FlowScorer::score_host(std::span<const FlowRecord> flows) {
   std::size_t tor_flows = 0;
-  auto it = channels_.lower_bound({host, 0});
-  while (it != channels_.end() && it->first.first == host) {
-    Series& s = it->second;
-    const std::size_t count = s.sizes.size();
-    // Same arithmetic as channel_features: sizes CV as emitted, gaps CV
-    // over the sorted timestamps — bitwise-equal to the batch detector.
-    const double size_cv = coefficient_of_variation(s.sizes);
-    std::sort(s.times.begin(), s.times.end());
-    std::vector<double> gaps;
-    gaps.reserve(count > 0 ? count - 1 : 0);
-    for (std::size_t i = 1; i < s.times.size(); ++i)
-      gaps.push_back(s.times[i] - s.times[i - 1]);
-    const double gap_cv = coefficient_of_variation(gaps);
+  for (const ChannelFeatures& f : pass_.run(flows)) {
     for (std::size_t k = 0; k < config_.beacon_thresholds.size(); ++k) {
       const FlowDetectorConfig& c = config_.beacon_thresholds[k];
-      if (count >= c.min_flows && size_cv < c.size_cv_threshold &&
-          gap_cv < c.gap_cv_threshold)
-        flagged_[k].push_back(host);
+      if (f.flows >= c.min_flows && f.size_cv < c.size_cv_threshold &&
+          f.gap_cv < c.gap_cv_threshold)
+        flagged_[k].push_back(f.src);
     }
-    if (relays_.count(it->first.second) > 0) tor_flows += count;
-    it = channels_.erase(it);
+    if (std::binary_search(relays_.begin(), relays_.end(), f.dst))
+      tor_flows += f.flows;
   }
   const std::size_t beacons = config_.beacon_thresholds.size();
   for (std::size_t k = 0; k < config_.tor_min_flows.size(); ++k)
     if (tor_flows >= config_.tor_min_flows[k] && tor_flows > 0)
-      flagged_[beacons + k].push_back(host);
+      flagged_[beacons + k].push_back(flows.front().src);
 }
 
 void FlowScorer::finish() {
   ONION_EXPECTS(!finished_);
-  while (!channels_.empty())
-    finalize_host(channels_.begin()->first.first);
-  for (std::vector<HostId>& hosts : flagged_) {
-    std::sort(hosts.begin(), hosts.end());
-    hosts.erase(std::unique(hosts.begin(), hosts.end()), hosts.end());
+  // Hosts fed without an on_host_done, ascending, each in arrival order.
+  std::stable_sort(open_.begin(), open_.end(),
+                   [](const FlowRecord& a, const FlowRecord& b) {
+                     return a.src < b.src;
+                   });
+  for (auto run = open_.begin(); run != open_.end();) {
+    const auto end = std::find_if(run, open_.end(), [&](const FlowRecord& f) {
+      return f.src != run->src;
+    });
+    score_host({run, end});
+    run = end;
   }
+  open_.clear();
+  for (std::vector<HostId>& hosts : flagged_)
+    hosts = sorted_unique(std::move(hosts));
   finished_ = true;
 }
 

@@ -17,15 +17,15 @@
 // the bots flags the legitimate Tor users with them — the paper's
 // point that mitigation collapses into blocking Tor wholesale.
 //
-// Two forms of the rule live here: detect_beacons (with
-// detect_tor_users) is the one-threshold batch form that examples and
-// benches call and the differential tests treat as the reference, and
-// FlowScorer is the one-pass form RocSweep and ReplayGrid score from.
+// The rule has one owner, FlowScorer: the one-pass form RocSweep and
+// ReplayGrid score from. detect_beacons and detect_tor_users are one
+// FlowScorer pass at a single threshold, for the examples and benches.
+// The lockstep tests (tests/flow_scorer_test.cpp) check it against an
+// independent map-based scorer.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <set>
+#include <span>
 #include <vector>
 
 #include "detection/telemetry.hpp"
@@ -33,11 +33,11 @@
 namespace onion::detection {
 
 /// Coefficient of variation (stddev/mean, sample variance); 0 for
-/// degenerate input (< 2 samples or non-positive mean). Shared by the
-/// batch detector and FlowScorer so both compute CVs with the *same
-/// arithmetic* — the differential tests assert exact flagged-set
-/// equality, not approximate.
-double coefficient_of_variation(const std::vector<double>& xs);
+/// degenerate input (< 2 samples or non-positive mean). The samples are
+/// summed in the order given, so ChannelPass and the tests' map-based
+/// reference scorer compute bit-identical CVs — the lockstep tests
+/// assert exact flagged-set equality, not approximate.
+double coefficient_of_variation(std::span<const double> xs);
 
 struct FlowDetectorConfig {
   /// Minimum flows on a (src,dst) pair before judging it.
@@ -59,11 +59,27 @@ struct ChannelFeatures {
   double gap_cv = 0.0;
 };
 
-/// Features for every (src,dst) pair meeting the minimum flow count.
-std::vector<ChannelFeatures> channel_features(const TrafficTrace& trace,
-                                              std::size_t min_flows);
+/// The per-source feature pass: the features of every channel of one
+/// source host's flows, which FlowScorer applies its thresholds to.
+/// Channels are numbered through a hash table and their flows gathered
+/// with one counting sort, in O(flows); buffers are reused across calls.
+class ChannelPass {
+ public:
+  /// `flows` are one source's flows in arrival order. Returns one entry
+  /// per dst, in order of first arrival: the size CV over the flows in
+  /// arrival order and the gap CV over the sorted timestamps. Valid
+  /// until the next call.
+  const std::vector<ChannelFeatures>& run(std::span<const FlowRecord> flows);
 
-/// Flags sources owning at least one beacon-like channel.
+ private:
+  std::vector<std::uint32_t> table_, channel_;
+  std::vector<std::size_t> next_;
+  std::vector<double> sizes_, times_, gaps_;
+  std::vector<ChannelFeatures> out_;
+};
+
+/// Flags sources owning at least one beacon-like channel: one FlowScorer
+/// pass over the trace at this one threshold.
 DetectionResult detect_beacons(const TrafficTrace& trace,
                                const FlowDetectorConfig& config = {});
 
@@ -81,7 +97,8 @@ class FlowSink {
 
 /// Feeds an already-materialized trace into a sink: the relay registry,
 /// then the flows grouped by source host (ascending), each host's in
-/// trace order. Returns the number of flows fed.
+/// trace order — one stable index sort by source, no per-host lists.
+/// Returns the number of flows fed.
 std::uint64_t feed_trace(const TrafficTrace& trace, FlowSink& sink);
 
 /// Every threshold the one-pass scorer evaluates.
@@ -92,12 +109,19 @@ struct FlowScorerConfig {
   std::vector<std::size_t> tor_min_flows;
 };
 
-/// One-pass streaming scorer: buffers per-channel size/time series only
-/// for hosts not yet finalized, and collapses each host to verdicts at
-/// its on_host_done. Call finish() after the stream ends (it finalizes
-/// any hosts fed without an on_host_done, so raw ungrouped traces work
-/// too); flagged sets are valid afterwards, and *equal* to the batch
-/// detectors' fed the same flows.
+/// One-pass streaming scorer: buffers the flows of hosts not yet
+/// finalized, and collapses each host to verdicts at its on_host_done.
+/// Call finish() after the stream ends (it finalizes any hosts fed
+/// without an on_host_done, so raw ungrouped traces work too; an early
+/// on_host_done(h) finalizes only h); flagged sets are valid afterwards,
+/// and *equal* to the batch detectors' fed the same flows.
+///
+/// Cost: each flow is one record appended to a buffer of open flows. At
+/// on_host_done the host's flows (a stable partition, which moves
+/// nothing on a grouped stream) go through one ChannelPass, and each
+/// channel's features are checked against every threshold. Every
+/// buffer is reused across hosts: once they have grown to the largest
+/// host, scoring allocates nothing per flow.
 class FlowScorer final : public FlowSink {
  public:
   explicit FlowScorer(FlowScorerConfig config);
@@ -113,16 +137,14 @@ class FlowScorer final : public FlowSink {
   const std::vector<std::vector<HostId>>& flagged() const;
 
  private:
-  struct Series {
-    std::vector<double> sizes;
-    std::vector<double> times;
-  };
-  void finalize_host(HostId host);
+  /// Scores one host's flows (arrival order) against every threshold.
+  void score_host(std::span<const FlowRecord> flows);
 
   FlowScorerConfig config_;
-  std::set<HostId> relays_;
-  /// Open (not yet finalized) hosts' channels, keyed (src, dst).
-  std::map<std::pair<HostId, HostId>, Series> channels_;
+  std::vector<HostId> relays_;  // ascending, unique
+  /// Open (not yet finalized) hosts' flows, in arrival order.
+  std::vector<FlowRecord> open_;
+  ChannelPass pass_;
   std::uint64_t flows_ = 0;
   bool finished_ = false;
   std::vector<std::vector<HostId>> flagged_;

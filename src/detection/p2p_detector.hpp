@@ -39,11 +39,18 @@ struct MeshFeatures {
 /// Features over the monitored-host communication graph. Flows to hosts
 /// outside `trace.hosts` (public servers, Tor relays) are excluded, as
 /// the published systems do — servers talk to everyone and would drown
-/// the signal.
+/// the signal. Hosts come out in ascending order.
 std::vector<MeshFeatures> mesh_features(const TrafficTrace& trace,
                                         std::size_t min_pair_bytes);
 
-/// Flags hosts sitting inside a peer mesh.
+/// The threshold rule: flags hosts sitting inside a peer mesh,
+/// ascending. `features` must come from mesh_features at
+/// config.min_pair_bytes; the other thresholds only filter them, so one
+/// feature pass serves every degree × interconnection point.
+DetectionResult flag_p2p(const std::vector<MeshFeatures>& features,
+                         const P2pDetectorConfig& config);
+
+/// flag_p2p(mesh_features(trace, config.min_pair_bytes), config).
 DetectionResult detect_p2p(const TrafficTrace& trace,
                            const P2pDetectorConfig& config = {});
 

@@ -6,9 +6,6 @@
 
 #include "common/parallel.hpp"
 #include "crypto/sha256.hpp"
-#include "detection/dga_detector.hpp"
-#include "detection/fastflux_detector.hpp"
-#include "detection/p2p_detector.hpp"
 
 namespace onion::detection {
 
@@ -26,12 +23,6 @@ std::string fmt(std::size_t v) { return std::to_string(v); }
 
 bool contains(const std::vector<HostId>& sorted, HostId h) {
   return std::binary_search(sorted.begin(), sorted.end(), h);
-}
-
-std::vector<HostId> sorted_unique(std::vector<HostId> hosts) {
-  std::sort(hosts.begin(), hosts.end());
-  hosts.erase(std::unique(hosts.begin(), hosts.end()), hosts.end());
-  return hosts;
 }
 
 }  // namespace
@@ -157,34 +148,24 @@ RocSweep::RocSweep(RocConfig config)
   // flow-beacon and tor-flagger cells are flow_grid_'s).
   for (const double entropy : config_.dga_entropy)
     for (const double ratio : config_.dga_nxdomain) {
-      DgaDetectorConfig c;
-      c.entropy_threshold = entropy;
-      c.nxdomain_ratio_threshold = ratio;
-      cells_.push_back({"dga-dns",
-                        "entropy=" + fmt(entropy) + ",nxdomain=" + fmt(ratio),
-                        [c](const TrafficTrace& t) { return detect_dga(t, c); }});
+      dga_.push_back(
+          {.nxdomain_ratio_threshold = ratio, .entropy_threshold = entropy});
+      batch_cells_.push_back(
+          {"dga-dns", "entropy=" + fmt(entropy) + ",nxdomain=" + fmt(ratio)});
     }
   for (const std::size_t ips : config_.flux_distinct_ips)
     for (const double ttl : config_.flux_ttl) {
-      FluxDetectorConfig c;
-      c.distinct_ips_threshold = ips;
-      c.ttl_threshold = ttl;
-      cells_.push_back({"fast-flux",
-                        "distinct_ips=" + fmt(ips) + ",ttl=" + fmt(ttl),
-                        [c](const TrafficTrace& t) {
-                          return detect_fastflux(t, c);
-                        }});
+      flux_.push_back({.distinct_ips_threshold = ips, .ttl_threshold = ttl});
+      batch_cells_.push_back(
+          {"fast-flux", "distinct_ips=" + fmt(ips) + ",ttl=" + fmt(ttl)});
     }
-  beacon_slot_ = cells_.size();
   for (const std::size_t degree : config_.p2p_degree)
     for (const double inter : config_.p2p_interconnection) {
-      P2pDetectorConfig c;
-      c.min_peer_degree = degree;
-      c.min_peer_interconnection = inter;
-      cells_.push_back({"p2p-mesh",
-                        "degree=" + fmt(degree) + ",interconnection=" +
-                            fmt(inter),
-                        [c](const TrafficTrace& t) { return detect_p2p(t, c); }});
+      p2p_.push_back(
+          {.min_peer_degree = degree, .min_peer_interconnection = inter});
+      batch_cells_.push_back({"p2p-mesh", "degree=" + fmt(degree) +
+                                              ",interconnection=" +
+                                              fmt(inter)});
     }
 }
 
@@ -201,34 +182,54 @@ RocReport RocSweep::run(const TrafficTrace& trace,
 
   // Grid order: dga, flux | flow-beacon | p2p | tor-flagger.
   const std::size_t beacons = flow_grid_.thresholds.beacon_thresholds.size();
-  const auto batch_index = [&](std::size_t i) {
-    return i < beacon_slot_ ? i : i + beacons;
-  };
-  const auto flow_index = [&](std::size_t k) {
-    return k < beacons ? beacon_slot_ + k : cells_.size() + k;
+  const std::size_t beacon_slot = dga_.size() + flux_.size();
+  // One batch family: compute its features once, then apply every one
+  // of its thresholds (cells first .. first + configs.size()) to them.
+  const auto family = [&](std::size_t first, const auto& configs,
+                          const auto& features_of, const auto& flag) {
+    if (configs.empty()) return;
+    const auto features = features_of(trace);
+    for (std::size_t i = first; i < first + configs.size(); ++i) {
+      const FlowGrid::Cell& cell = batch_cells_[i];
+      report.points[i < beacon_slot ? i : i + beacons] =
+          score_point(cell.detector, cell.params,
+                      flag(features, configs[i - first]).flagged, scoring,
+                      truth);
+    }
   };
 
-  // Task 0 is the flow pass, so the batch cells overlap it. Detectors
-  // are pure functions of the (shared, read-only) trace, and each point
-  // lands at its grid index — the sharding is invisible.
-  const std::size_t pass = flow_grid_.cells.empty() ? 0 : 1;
+  // Every p2p cell keeps the default min_pair_bytes, so one mesh pass
+  // serves them all.
+  const auto mesh = [](const TrafficTrace& t) {
+    return mesh_features(t, P2pDetectorConfig{}.min_pair_bytes);
+  };
+
+  // Task 0 is the flow pass, the longest, so the three batch passes
+  // overlap it. Each pass reads the shared, read-only trace and writes
+  // only its own cells' grid slots — the sharding is invisible.
   report.threads_used = parallel_for_index(
-      pass + cells_.size(), config_.threads, [&](std::size_t task) {
-        if (task < pass) {
-          FlowScorer scorer(flow_grid_.thresholds);
-          feed_trace(trace, scorer);
-          scorer.finish();
-          for (std::size_t k = 0; k < flow_grid_.cells.size(); ++k)
-            report.points[flow_index(k)] = score_point(
-                flow_grid_.cells[k].detector, flow_grid_.cells[k].params,
-                scorer.flagged()[k], scoring, truth);
-          return;
+      4, config_.threads, [&](std::size_t task) {
+        switch (task) {
+          case 0: {
+            if (flow_grid_.cells.empty()) return;
+            FlowScorer scorer(flow_grid_.thresholds);
+            feed_trace(trace, scorer);
+            scorer.finish();
+            for (std::size_t k = 0; k < flow_grid_.cells.size(); ++k)
+              report.points[k < beacons ? beacon_slot + k
+                                        : batch_cells_.size() + k] =
+                  score_point(flow_grid_.cells[k].detector,
+                              flow_grid_.cells[k].params,
+                              scorer.flagged()[k], scoring, truth);
+            return;
+          }
+          case 1:
+            return family(0, dga_, dga_features, flag_dga);
+          case 2:
+            return family(dga_.size(), flux_, flux_features, flag_fastflux);
+          default:
+            return family(beacon_slot, p2p_, mesh, flag_p2p);
         }
-        const Cell& cell = cells_[task - pass];
-        DetectionResult result = cell.detect(trace);
-        std::sort(result.flagged.begin(), result.flagged.end());
-        report.points[batch_index(task - pass)] = score_point(
-            cell.detector, cell.params, result.flagged, scoring, truth);
       });
 
   report.wall_seconds =

@@ -3,10 +3,11 @@
 // ground truth (TPR / FPR / precision), and fingerprints the whole
 // sweep with a chained SHA-256 — the detection-side analogue of the
 // scenario engine's snapshot-stream fingerprint, and the unit CI's
-// golden-fingerprint guard diffs. Cells shard across the same
-// atomic-index thread pool campaign grids use (common/parallel.hpp);
-// results land at their grid index, so thread count never leaks into
-// the CSV or the fingerprint.
+// golden-fingerprint guard diffs. Each detector family computes its
+// features once per capture and scores all of its cells from them; the
+// families shard across the same atomic-index thread pool campaign
+// grids use (common/parallel.hpp), and every point lands at its grid
+// index, so thread count never leaks into the CSV or the fingerprint.
 //
 // Run against a campaign-replayed trace (detection/replay.hpp) this
 // reproduces the paper's Section II/VI argument as one sweep: every
@@ -21,12 +22,14 @@
 #pragma once
 
 #include <cstdio>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "detection/dga_detector.hpp"
+#include "detection/fastflux_detector.hpp"
 #include "detection/flow_detector.hpp"
+#include "detection/p2p_detector.hpp"
 #include "detection/telemetry.hpp"
 
 namespace onion::detection {
@@ -80,7 +83,7 @@ struct GroundTruth {
 /// tor-flagger axis. An empty axis drops its family.
 struct FlowGrid {
   struct Cell {
-    std::string detector;  // "flow-beacon" | "tor-flagger"
+    std::string detector;  // "flow-beacon", "tor-flagger", ...
     std::string params;    // canonical "key=value,..." tuple
   };
 
@@ -147,14 +150,17 @@ struct RocReport {
 };
 
 /// The grid-search harness: construction enumerates the cells, run()
-/// shards them over a thread pool and scores every operating point. All
-/// flow-beacon and tor-flagger cells come from one FlowScorer pass.
+/// scores every operating point from one feature pass per family. Four
+/// tasks share the thread pool: the FlowScorer pass (every flow-beacon
+/// and tor-flagger cell), then the DGA, fast-flux and P2P passes, each
+/// of which applies all of its family's thresholds to its one feature
+/// vector. An empty family runs no pass.
 class RocSweep {
  public:
   explicit RocSweep(RocConfig config = {});
 
   std::size_t cell_count() const {
-    return cells_.size() + flow_grid_.cells.size();
+    return batch_cells_.size() + flow_grid_.cells.size();
   }
   /// Aggregate sweep: TPR/FPR against trace.infected vs the benign rest.
   RocReport run(const TrafficTrace& trace) const;
@@ -163,17 +169,13 @@ class RocSweep {
   RocReport run(const TrafficTrace& trace, const GroundTruth& truth) const;
 
  private:
-  struct Cell {
-    std::string detector;
-    std::string params;
-    std::function<DetectionResult(const TrafficTrace&)> detect;
-  };
-
   RocConfig config_;
-  /// Batch-detector cells: dga, flux, then p2p.
-  std::vector<Cell> cells_;
-  /// How many cells_ precede the flow-beacon block in grid order.
-  std::size_t beacon_slot_ = 0;
+  /// Batch-family thresholds, one per cell, in grid order.
+  std::vector<DgaDetectorConfig> dga_;
+  std::vector<FluxDetectorConfig> flux_;
+  std::vector<P2pDetectorConfig> p2p_;
+  /// Labels of the batch cells: dga, flux, then p2p.
+  std::vector<FlowGrid::Cell> batch_cells_;
   FlowGrid flow_grid_;
 };
 

@@ -68,6 +68,12 @@ void walk_canonical(const TrafficTrace& trace, Consume&& consume) {
 
 }  // namespace
 
+std::vector<HostId> sorted_unique(std::vector<HostId> hosts) {
+  std::sort(hosts.begin(), hosts.end());
+  hosts.erase(std::unique(hosts.begin(), hosts.end()), hosts.end());
+  return hosts;
+}
+
 void TrafficTrace::append(const TrafficTrace& other) {
   dns.reserve(dns.size() + other.dns.size());
   dns.insert(dns.end(), other.dns.begin(), other.dns.end());

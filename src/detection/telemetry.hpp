@@ -80,6 +80,9 @@ Bytes serialize(const TrafficTrace& trace);
 /// record so fingerprinting a large trace never materializes the bytes.
 std::string fingerprint(const TrafficTrace& trace);
 
+/// `hosts` ascending, without duplicates.
+std::vector<HostId> sorted_unique(std::vector<HostId> hosts);
+
 /// A detector's verdict over a trace.
 struct DetectionResult {
   std::vector<HostId> flagged;

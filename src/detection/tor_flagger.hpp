@@ -12,7 +12,8 @@
 namespace onion::detection {
 
 /// Flags every monitored host with at least `min_flows` flows to a
-/// known Tor relay.
+/// known Tor relay: one FlowScorer pass at this one threshold, defined
+/// in flow_detector.cpp next to detect_beacons.
 DetectionResult detect_tor_users(const TrafficTrace& trace,
                                  std::size_t min_flows = 3);
 

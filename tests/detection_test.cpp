@@ -220,6 +220,15 @@ TEST(DgaDetector, FeatureVectorShapes) {
 
 // --- fast-flux detector -------------------------------------------------
 
+/// Names judged fluxed under the config.
+std::vector<std::string> fluxed_domains(const TrafficTrace& trace,
+                                        const FluxDetectorConfig& config) {
+  std::vector<std::string> out;
+  for (const FluxFeatures& f : flux_features(trace))
+    if (is_fluxed(f, config)) out.push_back(f.qname);
+  return out;
+}
+
 TEST(FluxDetector, CatchesFluxedDomainAndItsClients) {
   Rng rng(31);
   const TrafficTrace trace = fastflux_traffic(small_config(), rng);
@@ -308,7 +317,8 @@ TEST(FlowDetector, ChannelFeaturesComputeCv) {
     f.at = static_cast<SimTime>(i) * kMinute;
     trace.flows.push_back(f);
   }
-  const auto features = channel_features(trace, 12);
+  ChannelPass pass;
+  const auto& features = pass.run(trace.flows);
   ASSERT_EQ(features.size(), 1u);
   EXPECT_LT(features[0].size_cv, 1e-9);
   EXPECT_LT(features[0].gap_cv, 1e-9);

@@ -6,16 +6,26 @@
 // deterministic and O(window)-shaped (population tables match the batch
 // replay's exactly); the grid fingerprint is thread-count invariant;
 // and the family-resolved RocSweep keeps the legacy aggregate encoding
-// byte-identical while adding correct per-population columns.
+// byte-identical while adding correct per-population columns. For the
+// batch families, every dga, flux and p2p point of the sweep (one
+// feature pass per family) equals one direct detect_X call per
+// threshold, at thresholds placed exactly on observed feature values,
+// and the rewritten fast-flux and mesh feature passes equal verbatim
+// copies of their previous form.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "detection/dga_detector.hpp"
+#include "detection/fastflux_detector.hpp"
 #include "detection/flow_detector.hpp"
+#include "detection/p2p_detector.hpp"
 #include "detection/replay.hpp"
 #include "detection/replay_grid.hpp"
 #include "detection/roc.hpp"
@@ -186,6 +196,334 @@ TEST(FlowScorer, MatchesBatchDetectorsOnTheSameCapture) {
   no_beacon.flow_gap_cv.clear();
   EXPECT_EQ(serialized(RocSweep(no_beacon).run(replay.trace, families)),
             without({"flow-beacon"}));
+}
+
+// ====================================================================
+// Batch families: one feature pass == one detect_X call per threshold
+// ====================================================================
+
+// The fast-flux and P2P feature passes as they were before they kept
+// each name's clients and read the monitored set from a sorted vector,
+// verbatim (renamed, comments trimmed), plus the second DNS scan that
+// flagging the clients of fluxed names replaced.
+std::vector<FluxFeatures> previous_flux_features(const TrafficTrace& trace) {
+  struct Accum {
+    std::set<std::uint32_t> ips;
+    std::size_t answers = 0;
+    double ttl_sum = 0.0;
+  };
+  std::map<std::string, Accum> per_name;
+  for (const DnsRecord& r : trace.dns) {
+    if (r.nxdomain) continue;
+    Accum& a = per_name[r.qname];
+    ++a.answers;
+    a.ips.insert(r.resolved);
+    a.ttl_sum += static_cast<double>(r.ttl);
+  }
+
+  std::vector<FluxFeatures> out;
+  out.reserve(per_name.size());
+  for (const auto& [name, a] : per_name) {
+    FluxFeatures f;
+    f.qname = name;
+    f.answers = a.answers;
+    f.distinct_ips = a.ips.size();
+    f.mean_ttl = a.ttl_sum / static_cast<double>(a.answers);
+    out.push_back(f);
+  }
+  return out;
+}
+
+std::vector<std::string> previous_fluxed_domains(
+    const TrafficTrace& trace, const FluxDetectorConfig& config) {
+  std::vector<std::string> out;
+  for (const FluxFeatures& f : previous_flux_features(trace)) {
+    if (f.answers < config.min_answers) continue;
+    if (f.distinct_ips <= config.distinct_ips_threshold) continue;
+    if (f.mean_ttl >= config.ttl_threshold) continue;
+    out.push_back(f.qname);
+  }
+  return out;
+}
+
+DetectionResult previous_detect_fastflux(const TrafficTrace& trace,
+                                         const FluxDetectorConfig& config) {
+  const std::vector<std::string> bad = previous_fluxed_domains(trace, config);
+  const std::set<std::string> bad_set(bad.begin(), bad.end());
+
+  DetectionResult result;
+  std::set<HostId> flagged;
+  for (const DnsRecord& r : trace.dns)
+    if (!r.nxdomain && bad_set.count(r.qname) > 0) flagged.insert(r.client);
+  result.flagged.assign(flagged.begin(), flagged.end());
+  return result;
+}
+
+std::vector<MeshFeatures> previous_mesh_features(const TrafficTrace& trace,
+                                                 std::size_t min_pair_bytes) {
+  const std::set<HostId> monitored(trace.hosts.begin(), trace.hosts.end());
+
+  std::map<std::pair<HostId, HostId>, std::size_t> pair_bytes;
+  for (const FlowRecord& f : trace.flows) {
+    if (f.src == f.dst) continue;
+    if (monitored.count(f.src) == 0 || monitored.count(f.dst) == 0)
+      continue;
+    const auto key = f.src < f.dst ? std::make_pair(f.src, f.dst)
+                                   : std::make_pair(f.dst, f.src);
+    pair_bytes[key] += f.bytes;
+  }
+
+  std::map<HostId, std::set<HostId>> adjacency;
+  for (const auto& [pair, bytes] : pair_bytes) {
+    if (bytes < min_pair_bytes) continue;
+    adjacency[pair.first].insert(pair.second);
+    adjacency[pair.second].insert(pair.first);
+  }
+
+  std::vector<MeshFeatures> out;
+  out.reserve(adjacency.size());
+  for (const auto& [host, peers] : adjacency) {
+    MeshFeatures f;
+    f.host = host;
+    f.peer_degree = peers.size();
+    if (peers.size() >= 2) {
+      std::size_t connected_pairs = 0;
+      std::size_t total_pairs = 0;
+      for (auto it = peers.begin(); it != peers.end(); ++it) {
+        for (auto jt = std::next(it); jt != peers.end(); ++jt) {
+          ++total_pairs;
+          const auto a = adjacency.find(*it);
+          if (a != adjacency.end() && a->second.count(*jt) > 0)
+            ++connected_pairs;
+        }
+      }
+      f.peer_interconnection =
+          total_pairs == 0 ? 0.0
+                           : static_cast<double>(connected_pairs) /
+                                 static_cast<double>(total_pairs);
+    }
+    out.push_back(f);
+  }
+  return out;
+}
+
+/// The feature passes equal their previous form field for field (bit
+/// for bit on the doubles), and fast-flux flags the same hosts as the
+/// second DNS scan did.
+void expect_previous_features(const TrafficTrace& trace) {
+  const std::vector<FluxFeatures> flux = flux_features(trace);
+  const std::vector<FluxFeatures> flux_before = previous_flux_features(trace);
+  ASSERT_EQ(flux.size(), flux_before.size());
+  for (std::size_t i = 0; i < flux.size(); ++i) {
+    EXPECT_EQ(flux[i].qname, flux_before[i].qname);
+    EXPECT_EQ(flux[i].answers, flux_before[i].answers);
+    EXPECT_EQ(flux[i].distinct_ips, flux_before[i].distinct_ips);
+    EXPECT_EQ(flux[i].mean_ttl, flux_before[i].mean_ttl);
+    EXPECT_TRUE(std::adjacent_find(flux[i].clients.begin(),
+                                   flux[i].clients.end(),
+                                   std::greater_equal<HostId>()) ==
+                flux[i].clients.end())
+        << "clients must ascend without duplicates";
+  }
+  for (const std::size_t ips : {std::size_t{0}, std::size_t{5}})
+    for (const double ttl : {120.0, 1e9}) {
+      FluxDetectorConfig c;
+      c.distinct_ips_threshold = ips;
+      c.ttl_threshold = ttl;
+      c.min_answers = 1;
+      EXPECT_EQ(detect_fastflux(trace, c).flagged,
+                previous_detect_fastflux(trace, c).flagged);
+    }
+  for (const std::size_t min_bytes : {std::size_t{0}, std::size_t{50},
+                                      std::size_t{5000}}) {
+    const std::vector<MeshFeatures> mesh = mesh_features(trace, min_bytes);
+    const std::vector<MeshFeatures> mesh_before =
+        previous_mesh_features(trace, min_bytes);
+    ASSERT_EQ(mesh.size(), mesh_before.size());
+    for (std::size_t i = 0; i < mesh.size(); ++i) {
+      EXPECT_EQ(mesh[i].host, mesh_before[i].host);
+      EXPECT_EQ(mesh[i].peer_degree, mesh_before[i].peer_degree);
+      EXPECT_EQ(mesh[i].peer_interconnection,
+                mesh_before[i].peer_interconnection);
+    }
+  }
+}
+
+std::string label(const char* key, const std::string& value,
+                  const char* key2, const std::string& value2) {
+  std::string out = key;
+  out += "=";
+  out += value;
+  out += ",";
+  out += key2;
+  out += "=";
+  out += value2;
+  return out;
+}
+
+/// The sweep's dga, flux and p2p points, serialized, in grid order.
+std::vector<Bytes> batch_points(const RocReport& report) {
+  std::vector<Bytes> out;
+  for (const RocPoint& p : report.points)
+    if (p.detector == "dga-dns" || p.detector == "fast-flux" ||
+        p.detector == "p2p-mesh")
+      out.push_back(serialize(p));
+  return out;
+}
+
+/// One direct detect_X call per threshold of `config`'s batch axes,
+/// scored as a sweep cell: the reference every batch point must equal.
+std::vector<Bytes> direct_batch_points(const TrafficTrace& trace,
+                                       const RocConfig& config,
+                                       const GroundTruth& families) {
+  const ScoringTruth truth(trace.infected, trace.hosts);
+  std::vector<Bytes> out;
+  const auto add = [&](const char* detector, const std::string& params,
+                       DetectionResult r) {
+    std::sort(r.flagged.begin(), r.flagged.end());
+    out.push_back(serialize(
+        score_point(detector, params, r.flagged, truth, families)));
+  };
+  for (const double entropy : config.dga_entropy)
+    for (const double ratio : config.dga_nxdomain) {
+      DgaDetectorConfig c;
+      c.entropy_threshold = entropy;
+      c.nxdomain_ratio_threshold = ratio;
+      add("dga-dns", label("entropy", g(entropy), "nxdomain", g(ratio)),
+          detect_dga(trace, c));
+    }
+  for (const std::size_t ips : config.flux_distinct_ips)
+    for (const double ttl : config.flux_ttl) {
+      FluxDetectorConfig c;
+      c.distinct_ips_threshold = ips;
+      c.ttl_threshold = ttl;
+      add("fast-flux",
+          label("distinct_ips", std::to_string(ips), "ttl", g(ttl)),
+          detect_fastflux(trace, c));
+    }
+  for (const std::size_t degree : config.p2p_degree)
+    for (const double inter : config.p2p_interconnection) {
+      P2pDetectorConfig c;
+      c.min_peer_degree = degree;
+      c.min_peer_interconnection = inter;
+      add("p2p-mesh",
+          label("degree", std::to_string(degree), "interconnection",
+                g(inter)),
+          detect_p2p(trace, c));
+    }
+  return out;
+}
+
+/// Up to five observed values, evenly spaced through the sorted distinct
+/// values (first and last included), appended to `axis`.
+template <class T>
+void add_observed(std::vector<T>& axis, std::vector<T> values) {
+  std::sort(values.begin(), values.end());
+  values.erase(std::unique(values.begin(), values.end()), values.end());
+  for (std::size_t i = 0; i < 5 && !values.empty(); ++i)
+    axis.push_back(values[i * (values.size() - 1) / 4]);
+}
+
+/// The default axes plus thresholds placed exactly on observed feature
+/// values, so every `<` / `<=` edge of the three rules is exercised.
+RocConfig edge_axes(const TrafficTrace& trace) {
+  RocConfig config;
+  std::vector<double> entropy, ratio, ttl, inter;
+  std::vector<std::size_t> ips, degree;
+  for (const DgaFeatures& f : dga_features(trace)) {
+    entropy.push_back(f.failed_name_entropy);
+    ratio.push_back(f.nxdomain_ratio);
+  }
+  for (const FluxFeatures& f : flux_features(trace)) {
+    ips.push_back(f.distinct_ips);
+    ttl.push_back(f.mean_ttl);
+  }
+  for (const MeshFeatures& f :
+       mesh_features(trace, P2pDetectorConfig{}.min_pair_bytes)) {
+    degree.push_back(f.peer_degree);
+    inter.push_back(f.peer_interconnection);
+  }
+  add_observed(config.dga_entropy, entropy);
+  add_observed(config.dga_nxdomain, ratio);
+  add_observed(config.flux_distinct_ips, ips);
+  add_observed(config.flux_ttl, ttl);
+  add_observed(config.p2p_degree, degree);
+  add_observed(config.p2p_interconnection, inter);
+  return config;
+}
+
+/// Every batch point of `config`'s sweep, at 1, 3 and 8 threads, equals
+/// the direct reference.
+void expect_batch_points_direct(const TrafficTrace& trace,
+                                const GroundTruth& families,
+                                RocConfig config) {
+  const std::vector<Bytes> expected =
+      direct_batch_points(trace, config, families);
+  for (const std::size_t threads : {1, 3, 8}) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    config.threads = threads;
+    const RocSweep sweep(config);
+    const RocReport report = sweep.run(trace, families);
+    ASSERT_EQ(report.points.size(), sweep.cell_count());
+    EXPECT_EQ(batch_points(report), expected);
+  }
+}
+
+TEST(RocSweep, BatchFamiliesMatchOneDirectCallPerThreshold) {
+  const CampaignTrace campaign = record(busy_spec(58));
+  for (const std::uint64_t seed : {0x5ca1e, 2, 3}) {
+    SCOPED_TRACE(::testing::Message() << "replay seed " << seed);
+    const ReplayResult replay = replay_trace(campaign, small_replay(seed));
+    const GroundTruth families = replay_ground_truth(replay);
+    expect_previous_features(replay.trace);
+    const RocConfig config = edge_axes(replay.trace);
+    ASSERT_GT(config.dga_entropy.size(), 4u);
+    ASSERT_GT(config.flux_distinct_ips.size(), 4u);
+    ASSERT_GT(config.p2p_degree.size(), 4u);
+    expect_batch_points_direct(replay.trace, families, config);
+
+    // Empty axes drop their family, and only that family.
+    const std::size_t full = RocSweep(config).cell_count();
+    RocConfig no_dga = config;
+    no_dga.dga_nxdomain.clear();
+    RocConfig no_flux = config;
+    no_flux.flux_distinct_ips.clear();
+    RocConfig no_p2p = config;
+    no_p2p.p2p_interconnection.clear();
+    RocConfig none = config;
+    none.dga_entropy.clear();
+    none.flux_ttl.clear();
+    none.p2p_degree.clear();
+    EXPECT_EQ(RocSweep(no_dga).cell_count(),
+              full - config.dga_entropy.size() * config.dga_nxdomain.size());
+    EXPECT_EQ(RocSweep(none).cell_count(), 20u);  // the flow cells
+    for (const RocConfig& dropped : {no_dga, no_flux, no_p2p, none})
+      expect_batch_points_direct(replay.trace, families, dropped);
+  }
+
+  // A replay with no legacy families, and the same capture with no DNS
+  // at all: the DNS families have no features to flag.
+  ReplayConfig onion_only = small_replay(4);
+  onion_only.centralized_bots = 0;
+  onion_only.dga_bots = 0;
+  onion_only.fastflux_bots = 0;
+  onion_only.p2p_bots = 0;
+  const ReplayResult replay = replay_trace(campaign, onion_only);
+  const GroundTruth families = replay_ground_truth(replay);
+  expect_batch_points_direct(replay.trace, families, edge_axes(replay.trace));
+  TrafficTrace no_dns = replay.trace;
+  no_dns.dns.clear();
+  // Self-flows and flows to unmonitored hosts never enter the mesh.
+  TrafficTrace odd = no_dns;
+  for (const HostId h : {odd.hosts[0], odd.hosts[1], odd.hosts[2]}) {
+    odd.flows.push_back({h, h, 7871, 4000, false, 0});
+    odd.flows.push_back({h, odd.hosts[3], 7871, 4000, false, 0});
+    odd.flows.push_back({h, 0xfffffff0u, 7871, 4000, false, 0});
+  }
+  expect_previous_features(odd);
+  EXPECT_TRUE(dga_features(no_dns).empty());
+  EXPECT_TRUE(flux_features(no_dns).empty());
+  expect_batch_points_direct(no_dns, families, edge_axes(no_dns));
 }
 
 // ====================================================================
